@@ -3,9 +3,10 @@
 //! `BENCH_kernels.json`.
 //!
 //! Four hot kernels are measured over a synthetic table, each driven
-//! through the morselized executor path (one thread, 4096-row morsels —
+//! through the executor's morsel path (one thread, 4096-row morsels —
 //! the same chunking the parallel executor uses, without thread-pool
-//! noise):
+//! noise).  The row-at-a-time baselines live in this file; the executor
+//! itself has only the columnar kernels.
 //!
 //! * **filter** — predicated sequential scan: typed `select` over
 //!   zero-copy column views + gather, vs. per-row materialize + `eval_bool`;
@@ -22,13 +23,18 @@
 //!     [--rows N] [--iters N] [--out PATH] [--tiny]
 //! ```
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use rqo_exec::agg::{hash_aggregate, AggState};
+use rqo_exec::join::hash_join;
 use rqo_exec::kernels::project_batch;
+use rqo_exec::scan::seq_scan;
 use rqo_exec::{AggExpr, Batch, ExecOptions};
 use rqo_expr::Expr;
-use rqo_storage::{Catalog, CostParams, CostTracker, DataType, Schema, TableBuilder, Value};
+use rqo_storage::{Catalog, CostParams, CostTracker, DataType, Rid, Schema, TableBuilder, Value};
 
 /// Morsel size used for every measurement: the executor's granularity.
 const MORSEL: usize = 4096;
@@ -128,6 +134,156 @@ fn build_side() -> Batch {
     Batch::new(schema, rows)
 }
 
+/// Row-at-a-time baseline for the predicated scan, chunked at the morsel
+/// granularity: materializes every row, then tests the predicate.
+fn row_scan(
+    cat: &Catalog,
+    params: &CostParams,
+    tracker: &mut CostTracker,
+    table: &str,
+    predicate: &Expr,
+) -> Batch {
+    let t = cat.table(table).expect("table exists");
+    tracker.charge_seq_pages(params.data_pages(t.num_rows(), t.row_width_bytes()));
+    tracker.charge_cpu_ops(t.num_rows() as u64);
+    let bound = predicate.bind(t.schema()).expect("predicate binds");
+    let parts = (0..t.num_rows())
+        .step_by(MORSEL)
+        .map(|start| {
+            let mut rows = Vec::new();
+            for rid in start..(start + MORSEL).min(t.num_rows()) {
+                let row = t.row(rid as Rid);
+                if rqo_expr::eval_bool(&bound, &row) {
+                    rows.push(row);
+                }
+            }
+            rows
+        })
+        .collect();
+    Batch::from_parts(t.schema().clone(), parts)
+}
+
+/// Row-at-a-time baseline for the hash join: `Value`-keyed per-morsel
+/// build maps merged in morsel order, then a per-morsel probe.
+fn row_hash_join(
+    tracker: &mut CostTracker,
+    build: Batch,
+    probe: Batch,
+    build_key: &str,
+    probe_key: &str,
+) -> Batch {
+    let schema = build.schema.join(&probe.schema, "l", "r");
+    let bk = build.schema.expect_index(build_key);
+    let pk = probe.schema.expect_index(probe_key);
+
+    tracker.charge_hash_builds(build.len() as u64);
+    let partials: Vec<HashMap<Value, Vec<usize>>> = build
+        .rows
+        .chunks(MORSEL)
+        .enumerate()
+        .map(|(m, chunk)| {
+            let mut local: HashMap<Value, Vec<usize>> = HashMap::new();
+            for (j, row) in chunk.iter().enumerate() {
+                local
+                    .entry(row[bk].clone())
+                    .or_default()
+                    .push(m * MORSEL + j);
+            }
+            local
+        })
+        .collect();
+    let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(build.len());
+    for partial in partials {
+        for (key, mut indices) in partial {
+            table.entry(key).or_default().append(&mut indices);
+        }
+    }
+
+    tracker.charge_hash_probes(probe.len() as u64);
+    let out: Vec<Vec<Value>> = probe
+        .rows
+        .chunks(MORSEL)
+        .flat_map(|chunk| {
+            let mut out = Vec::new();
+            for prow in chunk {
+                if let Some(matches) = table.get(&prow[pk]) {
+                    for &bi in matches {
+                        let mut row = build.rows[bi].clone();
+                        row.extend(prow.iter().cloned());
+                        out.push(row);
+                    }
+                }
+            }
+            out
+        })
+        .collect();
+    tracker.charge_cpu_ops(out.len() as u64);
+    Batch::new(schema, out)
+}
+
+/// Row-at-a-time baseline for grouped aggregation: per-morsel
+/// `group → states` maps updated through [`AggState::update`] with one
+/// `Value` dispatch per row and aggregate, merged in morsel order, then
+/// finished and sorted by group key.
+fn row_hash_aggregate(
+    tracker: &mut CostTracker,
+    input: Batch,
+    group_by: &[String],
+    aggregates: &[AggExpr],
+) -> Vec<Vec<Value>> {
+    let group_idx: Vec<usize> = group_by
+        .iter()
+        .map(|g| input.schema.expect_index(g))
+        .collect();
+    let agg_idx: Vec<Option<usize>> = aggregates
+        .iter()
+        .map(|a| a.column.as_ref().map(|c| input.schema.expect_index(c)))
+        .collect();
+    tracker.charge_hash_builds(input.len() as u64);
+    let partials: Vec<HashMap<Vec<Value>, Vec<AggState>>> = input
+        .rows
+        .chunks(MORSEL)
+        .map(|chunk| {
+            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+            for row in chunk {
+                let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
+                let states = groups
+                    .entry(key)
+                    .or_insert_with(|| aggregates.iter().map(|a| AggState::new(a.func)).collect());
+                for (state, idx) in states.iter_mut().zip(&agg_idx) {
+                    state.update(idx.map(|i| &row[i]));
+                }
+            }
+            groups
+        })
+        .collect();
+    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    for partial in partials {
+        for (key, states) in partial {
+            match groups.entry(key) {
+                Entry::Occupied(mut existing) => {
+                    for (into, from) in existing.get_mut().iter_mut().zip(states) {
+                        into.merge(from);
+                    }
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(states);
+                }
+            }
+        }
+    }
+    let mut rows: Vec<Vec<Value>> = groups
+        .into_iter()
+        .map(|(mut key, states)| {
+            key.extend(states.into_iter().map(AggState::finish));
+            key
+        })
+        .collect();
+    rows.sort_by(|a, b| a[..group_idx.len()].cmp(&b[..group_idx.len()]));
+    tracker.charge_cpu_ops(rows.len() as u64);
+    rows
+}
+
 fn main() {
     let args = Args::parse();
     let cat = build_catalog(args.rows);
@@ -147,21 +303,12 @@ fn main() {
         for round in 0..args.iters + 1 {
             let mut t = CostTracker::new();
             let start = Instant::now();
-            let out = rqo_exec::scan::seq_scan_par(&cat, &params, &mut t, "k", Some(&pred), &opts)
-                .unwrap();
+            let out = row_scan(&cat, &params, &mut t, "k", &pred);
             let ns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             let mut t = CostTracker::new();
             let start = Instant::now();
-            let out = rqo_exec::scan::seq_scan_columnar_par(
-                &cat,
-                &params,
-                &mut t,
-                "k",
-                Some(&pred),
-                &opts,
-            )
-            .unwrap();
+            let out = seq_scan(&cat, &params, &mut t, "k", Some(&pred), &opts).unwrap();
             let cns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             if round > 0 {
@@ -182,7 +329,7 @@ fn main() {
     // Materialize the full table once as the input batch for the
     // batch-consuming kernels below.
     let mut sink = CostTracker::new();
-    let input = rqo_exec::scan::seq_scan(&cat, &params, &mut sink, "k", None);
+    let input = seq_scan(&cat, &params, &mut sink, "k", None, &opts).unwrap();
 
     // --- hash_agg: grouped aggregation, row vs columnar -------------
     {
@@ -199,16 +346,13 @@ fn main() {
             let batch = input.clone();
             let mut t = CostTracker::new();
             let start = Instant::now();
-            let out =
-                rqo_exec::agg::hash_aggregate_par(&mut t, batch, &group, &aggs, &opts).unwrap();
+            let out = row_hash_aggregate(&mut t, batch, &group, &aggs);
             let ns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             let batch = input.clone();
             let mut t = CostTracker::new();
             let start = Instant::now();
-            let out =
-                rqo_exec::agg::hash_aggregate_columnar_par(&mut t, batch, &group, &aggs, &opts)
-                    .unwrap();
+            let out = hash_aggregate(&mut t, batch, &group, &aggs, &opts).unwrap();
             let cns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             if round > 0 {
@@ -233,14 +377,13 @@ fn main() {
             let (b, p) = (build.clone(), input.clone());
             let mut t = CostTracker::new();
             let start = Instant::now();
-            let out = rqo_exec::join::hash_join_par(&mut t, b, p, "bk", "grp", &opts).unwrap();
+            let out = row_hash_join(&mut t, b, p, "bk", "grp");
             let ns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             let (b, p) = (build.clone(), input.clone());
             let mut t = CostTracker::new();
             let start = Instant::now();
-            let out =
-                rqo_exec::join::hash_join_columnar_par(&mut t, b, p, "bk", "grp", &opts).unwrap();
+            let out = hash_join(&mut t, b, p, "bk", "grp", &opts).unwrap();
             let cns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             if round > 0 {
@@ -284,7 +427,7 @@ fn main() {
             std::hint::black_box(out);
             let batch = input.clone();
             let start = Instant::now();
-            let out = project_batch(batch, &ordinals, schema.clone(), Some(&opts)).unwrap();
+            let out = project_batch(batch, &ordinals, schema.clone(), &opts).unwrap();
             let cns = start.elapsed().as_nanos();
             std::hint::black_box(out);
             if round > 0 {

@@ -79,7 +79,7 @@ pub enum EstimateSource {
     /// Brute-force exact evaluation.
     Exact,
     /// Observed selectivity recorded by a previous execution's
-    /// `EXPLAIN ANALYZE` in a [`FeedbackStore`].
+    /// `EXPLAIN ANALYZE` in a [`FeedbackStore`](crate::feedback::FeedbackStore).
     Feedback,
 }
 

@@ -1,5 +1,6 @@
 //! Hash aggregation.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -7,20 +8,35 @@ use std::sync::Arc;
 use rqo_storage::{ColumnMeta, ColumnVec, CostTracker, DataType, NullMask, Schema, Value};
 
 use crate::batch::Batch;
+use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::{AggExpr, AggFunc};
 
 /// Running state of one aggregate.
+///
+/// Public so that benchmark baselines can accumulate with the very same
+/// update and merge rules as [`hash_aggregate`].
 #[derive(Debug, Clone)]
-enum AggState {
+pub enum AggState {
+    /// Running `SUM` (NULLs skipped).
     Sum(f64),
+    /// Running `COUNT(*)` or `COUNT(col)`.
     Count(u64),
-    Avg { sum: f64, count: u64 },
+    /// Running `AVG`: sum and count of non-NULL inputs.
+    Avg {
+        /// Sum of the non-NULL inputs.
+        sum: f64,
+        /// Number of non-NULL inputs.
+        count: u64,
+    },
+    /// Running `MIN`, keeping the input's native type.
     Min(Option<Value>),
+    /// Running `MAX`, keeping the input's native type.
     Max(Option<Value>),
 }
 
 impl AggState {
-    fn new(func: AggFunc) -> Self {
+    /// The identity state of `func`.
+    pub fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Sum => AggState::Sum(0.0),
             AggFunc::Count => AggState::Count(0),
@@ -30,7 +46,13 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) {
+    /// Folds one input value into the state; `None` is `COUNT(*)`'s
+    /// column-less input.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a non-COUNT aggregate gets no column.
+    pub fn update(&mut self, v: Option<&Value>) {
         match self {
             AggState::Sum(acc) => {
                 let v = v.expect("SUM needs a column");
@@ -77,11 +99,16 @@ impl AggState {
     /// Folds another partial state for the same aggregate into this one
     /// (used when merging per-morsel partial aggregations).
     ///
-    /// For SUM/AVG the merge adds partial float sums, which is exact
-    /// whenever the addends are exactly representable (e.g. integer-valued
-    /// data) and associative-up-to-ulp otherwise; COUNT/MIN/MAX merges are
-    /// always exact.
-    fn merge(&mut self, other: AggState) {
+    /// SUM/AVG add partial float sums, so the result depends on where the
+    /// morsel boundaries fall — which is why every thread count uses the
+    /// same boundaries and merges in morsel index order.  COUNT/MIN/MAX
+    /// merges are exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two states belong to different aggregate
+    /// functions.
+    pub fn merge(&mut self, other: AggState) {
         match (self, other) {
             (AggState::Sum(a), AggState::Sum(b)) => *a += b,
             (AggState::Count(a), AggState::Count(b)) => *a += b,
@@ -119,7 +146,8 @@ impl AggState {
         }
     }
 
-    fn finish(self) -> Value {
+    /// The aggregate's output value (`AVG` of no input is NULL).
+    pub fn finish(self) -> Value {
         match self {
             AggState::Sum(acc) => Value::Float(acc),
             AggState::Count(n) => Value::Int(n as i64),
@@ -153,6 +181,17 @@ impl AggState {
 /// identity values).  Charges one hash insert per input row (group lookup
 /// + state update) and one CPU op per output row.
 ///
+/// Aggregate input columns are extracted into typed vectors once; each
+/// morsel assigns group ids in a first pass and then updates each
+/// aggregate's states in a tight column-at-a-time loop (`f64`/`i64` adds
+/// with a null-mask check) instead of per-row `Value` dispatch.  The
+/// per-morsel partial `group → states` maps are merged **in morsel index
+/// order** via [`AggState::merge`].  Morsel boundaries depend only on the
+/// morsel size, so the float-summation order — and therefore every
+/// output bit — is the same at every thread count, with or without a
+/// token or scheduler.  Returns `None` when the query's token fired
+/// mid-accumulation.
+///
 /// # Panics
 ///
 /// Panics when a referenced column is missing, or when a non-COUNT
@@ -162,96 +201,7 @@ pub fn hash_aggregate(
     input: Batch,
     group_by: &[String],
     aggregates: &[AggExpr],
-) -> Batch {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
-    tracker.charge_hash_builds(input.len() as u64);
-    let groups = accumulate(&input.rows, &group_idx, &agg_idx, aggregates);
-    finalize(tracker, input, group_by, aggregates, group_idx, groups)
-}
-
-/// Morsel-parallel [`hash_aggregate`]: each morsel accumulates a partial
-/// `group → states` map; the coordinator merges the partials **in morsel
-/// index order** via [`AggState::merge`], then finalizes exactly as the
-/// serial operator does.
-///
-/// Because morsel boundaries depend only on the morsel size, the merge
-/// tree — and therefore every float-summation order — is identical for
-/// every thread count: 2-thread and 8-thread runs are bit-identical.
-/// Against the *serial* operator, COUNT/MIN/MAX and integer-valued
-/// SUM/AVG are exact; irrational float sums may differ in the last ulp
-/// (row-order vs. morsel-merge-order association).  Returns `None` when
-/// the query's token fired mid-accumulation.
-pub fn hash_aggregate_par(
-    tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-    opts: &crate::morsel::ExecOptions,
-) -> Option<Batch> {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
-    tracker.charge_hash_builds(input.len() as u64);
-    let partials = crate::morsel::run_morsels(opts, input.len(), |morsel| {
-        accumulate(&input.rows[morsel], &group_idx, &agg_idx, aggregates)
-    })?;
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for partial in partials {
-        for (key, states) in partial {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut existing) => {
-                    for (into, from) in existing.get_mut().iter_mut().zip(states) {
-                        into.merge(from);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(states);
-                }
-            }
-        }
-    }
-    Some(finalize(
-        tracker, input, group_by, aggregates, group_idx, groups,
-    ))
-}
-
-/// Vectorized [`hash_aggregate`]: aggregate input columns are extracted
-/// into typed vectors once, group ids are assigned in a first pass, and
-/// each aggregate then updates its states in a tight column-at-a-time
-/// loop (`f64`/`i64` adds with a null-mask check) instead of per-row
-/// `Value` dispatch.  Updates hit each `AggState` in row order — the
-/// same float-addition sequence as the row path — so results are
-/// bit-identical, including `AVG` of empty groups and the scalar
-/// identity row.
-pub fn hash_aggregate_columnar(
-    tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-) -> Batch {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
-    tracker.charge_hash_builds(input.len() as u64);
-    let agg_cols = columnarize_agg_inputs(&input, &agg_idx);
-    let int_group = int_group_ordinal(&input, &group_idx);
-    let groups = accumulate_columnar(
-        &input.rows,
-        0..input.len(),
-        &group_idx,
-        int_group,
-        &agg_cols,
-        aggregates,
-    );
-    finalize(tracker, input, group_by, aggregates, group_idx, groups)
-}
-
-/// Morsel-parallel [`hash_aggregate_columnar`], bit-identical to
-/// [`hash_aggregate_par`]: same morsel boundaries, same per-state update
-/// order within a morsel, same morsel-index-order merge.  Returns `None`
-/// when the query's token fired.
-pub fn hash_aggregate_columnar_par(
-    tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-    opts: &crate::morsel::ExecOptions,
+    opts: &ExecOptions,
 ) -> Option<Batch> {
     let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
     tracker.charge_hash_builds(input.len() as u64);
@@ -259,8 +209,8 @@ pub fn hash_aggregate_columnar_par(
     // vectors by absolute row id.
     let agg_cols = columnarize_agg_inputs(&input, &agg_idx);
     let int_group = int_group_ordinal(&input, &group_idx);
-    let partials = crate::morsel::run_morsels(opts, input.len(), |morsel| {
-        accumulate_columnar(
+    let partials = run_morsels(opts, input.len(), |morsel| {
+        accumulate_morsel(
             &input.rows,
             morsel,
             &group_idx,
@@ -273,12 +223,12 @@ pub fn hash_aggregate_columnar_par(
     for partial in partials {
         for (key, states) in partial {
             match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut existing) => {
+                Entry::Occupied(mut existing) => {
                     for (into, from) in existing.get_mut().iter_mut().zip(states) {
                         into.merge(from);
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(states);
                 }
             }
@@ -362,12 +312,11 @@ fn columnarize_agg_inputs(input: &Batch, agg_idx: &[Option<usize>]) -> Vec<Optio
         .collect()
 }
 
-/// Columnar counterpart of [`accumulate`] for the absolute row range
-/// `range`: pass 1 assigns group ids (a primitive-keyed map when the
-/// single group column is declared `Int`, otherwise keys cloned
-/// row-major exactly like the row path); pass 2 runs one typed loop per
-/// aggregate.
-fn accumulate_columnar(
+/// Accumulates the absolute row range `range` into per-group states:
+/// pass 1 assigns group ids (a primitive-keyed map when the single group
+/// column is declared `Int`, otherwise keys cloned row-major); pass 2
+/// runs one typed loop per aggregate, updating each state in row order.
+fn accumulate_morsel(
     rows: &[Vec<Value>],
     range: Range<usize>,
     group_idx: &[usize],
@@ -387,9 +336,9 @@ fn accumulate_columnar(
         // Single declared-Int group column: group on `Option<i64>` read
         // straight out of the rows — no transpose, no one-element
         // `Vec<Value>` alloc + hash per row.  NULL keys map to `None`,
-        // matching the row path's storage equality (NULL groups with
-        // NULL); the `Value` keys the caller's merge/finalize see are
-        // reconstructed below and hash identically to the row path's.
+        // matching `Value`'s storage equality (NULL groups with NULL);
+        // the `Value` keys the caller's merge/finalize see are
+        // reconstructed below.
         // A declared-Int column can still hold an off-type value (an
         // aggregate output feeding a re-aggregation): bail out and let
         // the generic path redo the morsel.
@@ -506,15 +455,14 @@ fn update_states(
         }
         (_, Some(col)) => {
             // MIN/MAX (any type), SUM/AVG over Mixed or non-numeric
-            // columns: materialize the value and use the row-path update.
+            // columns: materialize the value and use `AggState::update`.
             for (k, &g) in gids.iter().enumerate() {
                 let v = col.value(start + k);
                 states[g as usize][j].update(Some(&v));
             }
         }
         (_, None) => {
-            // Non-COUNT aggregate without a column: panics in update,
-            // exactly like the row path.
+            // Non-COUNT aggregate without a column: panics in update.
             for &g in gids {
                 states[g as usize][j].update(None);
             }
@@ -537,26 +485,6 @@ fn resolve_indices(
         .map(|a| a.column.as_ref().map(|c| input.schema.expect_index(c)))
         .collect();
     (group_idx, agg_idx)
-}
-
-/// Accumulates aggregate states over a slice of rows, in row order.
-fn accumulate(
-    rows: &[Vec<Value>],
-    group_idx: &[usize],
-    agg_idx: &[Option<usize>],
-    aggregates: &[AggExpr],
-) -> HashMap<Vec<Value>, Vec<AggState>> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggregates.iter().map(|a| AggState::new(a.func)).collect());
-        for (state, idx) in states.iter_mut().zip(agg_idx) {
-            state.update(idx.map(|i| &row[i]));
-        }
-    }
-    groups
 }
 
 /// Builds the output schema and the deterministically ordered result rows.
@@ -613,6 +541,16 @@ fn finalize(
 mod tests {
     use super::*;
 
+    fn inline() -> ExecOptions {
+        ExecOptions::default()
+    }
+
+    fn agg(input: Batch, group_by: &[String], aggs: &[AggExpr]) -> (Batch, CostTracker) {
+        let mut tracker = CostTracker::new();
+        let out = hash_aggregate(&mut tracker, input, group_by, aggs, &inline()).unwrap();
+        (out, tracker)
+    }
+
     fn input() -> Batch {
         Batch::new(
             Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
@@ -628,9 +566,7 @@ mod tests {
 
     #[test]
     fn scalar_aggregates() {
-        let mut tracker = CostTracker::new();
-        let out = hash_aggregate(
-            &mut tracker,
+        let (out, tracker) = agg(
             input(),
             &[],
             &[
@@ -653,9 +589,7 @@ mod tests {
 
     #[test]
     fn grouped_aggregates_sorted_output() {
-        let mut tracker = CostTracker::new();
-        let out = hash_aggregate(
-            &mut tracker,
+        let (out, _) = agg(
             input(),
             &["g".to_string()],
             &[AggExpr::sum("x", "total"), AggExpr::count_star("n")],
@@ -674,98 +608,41 @@ mod tests {
 
     #[test]
     fn empty_input_scalar_yields_identity_row() {
-        let mut tracker = CostTracker::new();
         let empty = Batch::empty(Schema::from_pairs(&[("x", DataType::Float)]));
-        let out = hash_aggregate(
-            &mut tracker,
-            empty,
-            &[],
-            &[
-                AggExpr::sum("x", "s"),
-                AggExpr::count_star("n"),
-                AggExpr::avg("x", "a"),
-                AggExpr::min("x", "lo"),
-            ],
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Float(0.0));
-        assert_eq!(out.rows[0][1], Value::Int(0));
-        assert_eq!(out.rows[0][2], Value::Null);
-        assert_eq!(out.rows[0][3], Value::Null);
-    }
-
-    #[test]
-    fn empty_input_grouped_yields_no_rows() {
-        let mut tracker = CostTracker::new();
-        let empty = Batch::empty(Schema::from_pairs(&[
-            ("g", DataType::Int),
-            ("x", DataType::Float),
-        ]));
-        let out = hash_aggregate(
-            &mut tracker,
-            empty,
-            &["g".to_string()],
-            &[AggExpr::sum("x", "s")],
-        );
-        assert_eq!(out.len(), 0);
-    }
-
-    #[test]
-    fn parallel_aggregate_matches_serial() {
-        use crate::morsel::ExecOptions;
-        // Integer-valued floats: partial-sum merges are exact, so the
-        // parallel result must be bit-identical to serial.
-        let rows: Vec<Vec<Value>> = (0..500)
-            .map(|i| vec![Value::Int(i % 7), Value::Float((i * 3 % 100) as f64)])
-            .collect();
-        let b = Batch::new(
-            Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
-            rows,
-        );
         let aggs = [
             AggExpr::sum("x", "s"),
             AggExpr::count_star("n"),
             AggExpr::avg("x", "a"),
             AggExpr::min("x", "lo"),
-            AggExpr::max("x", "hi"),
         ];
-        for group_by in [vec![], vec!["g".to_string()]] {
-            let mut ts = CostTracker::new();
-            let serial = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs);
-            for threads in [1, 2, 8] {
-                let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
-                let mut tp = CostTracker::new();
-                let par = hash_aggregate_par(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
-                assert_eq!(par.rows, serial.rows, "threads={threads}");
-                assert_eq!(tp, ts, "threads={threads}");
-            }
+        for opts in [inline(), ExecOptions::with_threads(4)] {
+            let mut tracker = CostTracker::new();
+            let out = hash_aggregate(&mut tracker, empty.clone(), &[], &aggs, &opts).unwrap();
+            assert_eq!(out.len(), 1);
+            assert_eq!(out.rows[0][0], Value::Float(0.0));
+            assert_eq!(out.rows[0][1], Value::Int(0));
+            assert_eq!(out.rows[0][2], Value::Null);
+            assert_eq!(out.rows[0][3], Value::Null);
         }
     }
 
     #[test]
-    fn parallel_aggregate_empty_input_identity_row() {
-        use crate::morsel::ExecOptions;
-        let empty = Batch::empty(Schema::from_pairs(&[("x", DataType::Float)]));
-        let mut tracker = CostTracker::new();
-        let out = hash_aggregate_par(
-            &mut tracker,
-            empty,
-            &[],
-            &[AggExpr::sum("x", "s"), AggExpr::count_star("n")],
-            &ExecOptions::with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Float(0.0));
-        assert_eq!(out.rows[0][1], Value::Int(0));
+    fn empty_input_grouped_yields_no_rows() {
+        let empty = Batch::empty(Schema::from_pairs(&[
+            ("g", DataType::Int),
+            ("x", DataType::Float),
+        ]));
+        let (out, _) = agg(empty, &["g".to_string()], &[AggExpr::sum("x", "s")]);
+        assert_eq!(out.len(), 0);
     }
 
     #[test]
-    fn columnar_aggregate_is_bit_identical_to_row_aggregate() {
-        use crate::morsel::ExecOptions;
+    fn typed_loops_match_row_at_a_time_updates() {
         // NULL-heavy float column plus an Int column so MIN/MAX keep the
         // native type and SUM widens; irrational values so float addition
-        // order matters and bit-identity is a real claim.
+        // order matters and bit-identity is a real claim.  One morsel
+        // covers the input, so the reference updates every state in row
+        // order through `AggState::update`.
         let rows: Vec<Vec<Value>> = (0..500)
             .map(|i| {
                 let x = if i % 5 == 0 {
@@ -797,53 +674,69 @@ mod tests {
             AggExpr::max("x", "hi"),
         ];
         for group_by in [vec![], vec!["g".to_string()]] {
-            let mut ts = CostTracker::new();
-            let serial = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs);
+            let (group_idx, agg_idx) = resolve_indices(&b, &group_by, &aggs);
+            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+            for row in &b.rows {
+                let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
+                let states = groups
+                    .entry(key)
+                    .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
+                for (state, idx) in states.iter_mut().zip(&agg_idx) {
+                    state.update(idx.map(|i| &row[i]));
+                }
+            }
+            let mut tr = CostTracker::new();
+            let reference = finalize(&mut tr, b.clone(), &group_by, &aggs, group_idx, groups);
+
             let mut tc = CostTracker::new();
-            let columnar = hash_aggregate_columnar(&mut tc, b.clone(), &group_by, &aggs);
-            assert_eq!(columnar.rows, serial.rows);
-            assert_eq!(tc, ts);
+            let one_morsel = inline().with_morsel_size(b.len());
+            let out = hash_aggregate(&mut tc, b.clone(), &group_by, &aggs, &one_morsel).unwrap();
+            assert_eq!(out.rows, reference.rows);
             // MIN over the Int column keeps its native type.
-            let lo_idx = columnar.schema.expect_index("lo");
-            assert!(matches!(columnar.rows[0][lo_idx], Value::Int(_)));
-            for threads in [1, 2, 8] {
+            let lo_idx = out.schema.expect_index("lo");
+            assert!(matches!(out.rows[0][lo_idx], Value::Int(_)));
+        }
+    }
+
+    #[test]
+    fn thread_counts_are_bit_identical() {
+        // Irrational inputs over several morsels: the morsel-order merge
+        // fixes the summation order, so every thread count agrees.
+        let rows: Vec<Vec<Value>> = (0..500)
+            .map(|i| vec![Value::Int(i % 7), Value::Float((i as f64).sqrt())])
+            .collect();
+        let b = Batch::new(
+            Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
+            rows,
+        );
+        let aggs = [
+            AggExpr::sum("x", "s"),
+            AggExpr::count_star("n"),
+            AggExpr::avg("x", "a"),
+            AggExpr::min("x", "lo"),
+            AggExpr::max("x", "hi"),
+        ];
+        for group_by in [vec![], vec!["g".to_string()]] {
+            let mut ts = CostTracker::new();
+            let base = inline().with_morsel_size(64);
+            let serial = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs, &base).unwrap();
+            for threads in [2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
-                let par = hash_aggregate_columnar_par(&mut tp, b.clone(), &group_by, &aggs, &opts)
-                    .unwrap();
-                let mut tr = CostTracker::new();
-                let row_par =
-                    hash_aggregate_par(&mut tr, b.clone(), &group_by, &aggs, &opts).unwrap();
-                assert_eq!(par.rows, row_par.rows, "threads={threads}");
-                assert_eq!(tp, tr, "threads={threads}");
+                let par = hash_aggregate(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
+                assert_eq!(par.rows, serial.rows, "threads={threads}");
+                assert_eq!(tp, ts, "threads={threads}");
             }
         }
     }
 
     #[test]
-    fn columnar_aggregate_empty_input_identity_row() {
-        let empty = Batch::empty(Schema::from_pairs(&[("x", DataType::Float)]));
-        let mut tracker = CostTracker::new();
-        let out = hash_aggregate_columnar(
-            &mut tracker,
-            empty,
-            &[],
-            &[AggExpr::sum("x", "s"), AggExpr::count_star("n")],
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Float(0.0));
-        assert_eq!(out.rows[0][1], Value::Int(0));
-    }
-
-    #[test]
     fn count_column_skips_nulls() {
-        let mut tracker = CostTracker::new();
         let b = Batch::new(
             Schema::from_pairs(&[("x", DataType::Int)]),
             vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(3)]],
         );
-        let out = hash_aggregate(
-            &mut tracker,
+        let (out, _) = agg(
             b,
             &[],
             &[

@@ -21,146 +21,28 @@ fn join_schemas(left: &Batch, right: &Batch) -> rqo_storage::Schema {
 /// Hash join: builds on `build`, probes with `probe`.
 ///
 /// Charges one hash insert per build row, one probe per probe row, and one
-/// CPU op per output row.  Output rows are `build ++ probe` columns.
+/// CPU op per output row.  Output rows are `build ++ probe` columns, in
+/// probe-row order and, within one probe row, in build-row order.
+///
+/// Both key columns are extracted into typed vectors once.  When the two
+/// sides are the same type family the table is keyed by primitives
+/// (`i64`, `f64` bits, `Arc<str>`, `bool`) — no per-row `Value` clone or
+/// enum dispatch on the hot path.  Otherwise (a `Mixed` column, or keys
+/// of different families such as an `Int` build key probed by a `Float`)
+/// the keys are the `Value`s themselves, whose `Eq` coerces numerics and
+/// whose `Hash` agrees with it, so the join matches exactly the pairs a
+/// merge join over the same inputs matches.  In every case NULL keys map
+/// to `None` and join each other (storage equality), and float keys
+/// compare by `total_cmp` (bit patterns).
+///
+/// Returns `None` when the query's token fired during either phase.
 pub fn hash_join(
     tracker: &mut CostTracker,
     build: Batch,
     probe: Batch,
     build_key: &str,
     probe_key: &str,
-) -> Batch {
-    let schema = join_schemas(&build, &probe);
-    let bk = build.schema.expect_index(build_key);
-    let pk = probe.schema.expect_index(probe_key);
-
-    tracker.charge_hash_builds(build.len() as u64);
-    let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(build.len());
-    for (i, row) in build.rows.iter().enumerate() {
-        table.entry(row[bk].clone()).or_default().push(i);
-    }
-
-    tracker.charge_hash_probes(probe.len() as u64);
-    let mut out = Vec::new();
-    for prow in &probe.rows {
-        if let Some(matches) = table.get(&prow[pk]) {
-            for &bi in matches {
-                let mut row = build.rows[bi].clone();
-                row.extend(prow.iter().cloned());
-                out.push(row);
-            }
-        }
-    }
-    tracker.charge_cpu_ops(out.len() as u64);
-    Batch::new(schema, out)
-}
-
-/// Morsel-parallel [`hash_join`]: both the build and probe phases are
-/// partitioned into morsels.
-///
-/// Build morsels produce local `key → row indices` maps that the
-/// coordinator merges **in morsel index order**; because morsel `i` only
-/// holds indices smaller than morsel `i+1`'s, every key's index list
-/// comes out ascending — exactly the serial build order.  Probe morsels
-/// emit their matches independently and are concatenated in morsel order,
-/// reproducing the serial output row order.  All three charges
-/// (`hash_builds`, `hash_probes`, `cpu_ops`) are totals over input/output
-/// sizes, so the merged tracker is bit-identical to serial.  Returns
-/// `None` when the query's token fired during either phase.
-pub fn hash_join_par(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
     opts: &ExecOptions,
-) -> Option<Batch> {
-    let schema = join_schemas(&build, &probe);
-    let bk = build.schema.expect_index(build_key);
-    let pk = probe.schema.expect_index(probe_key);
-
-    tracker.charge_hash_builds(build.len() as u64);
-    let partials = run_morsels(opts, build.len(), |morsel| {
-        let mut local: HashMap<Value, Vec<usize>> = HashMap::new();
-        for i in morsel {
-            local.entry(build.rows[i][bk].clone()).or_default().push(i);
-        }
-        local
-    })?;
-    let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(build.len());
-    for partial in partials {
-        for (key, mut indices) in partial {
-            table.entry(key).or_default().append(&mut indices);
-        }
-    }
-
-    tracker.charge_hash_probes(probe.len() as u64);
-    let parts = run_morsels(opts, probe.len(), |morsel| {
-        let mut out = Vec::new();
-        for prow in &probe.rows[morsel] {
-            if let Some(matches) = table.get(&prow[pk]) {
-                for &bi in matches {
-                    let mut row = build.rows[bi].clone();
-                    row.extend(prow.iter().cloned());
-                    out.push(row);
-                }
-            }
-        }
-        out
-    })?;
-    let out: Vec<Vec<Value>> = parts.into_iter().flatten().collect();
-    tracker.charge_cpu_ops(out.len() as u64);
-    Some(Batch::new(schema, out))
-}
-
-/// Vectorized [`hash_join`]: extracts both key columns into typed
-/// vectors once and, when the two sides are the same type family, builds
-/// and probes a *primitive-keyed* hash table (`i64`, `f64` bits,
-/// `Arc<str>`, `bool`) instead of hashing `Value`s — no per-row `Value`
-/// clone or enum dispatch on the hot path.
-///
-/// Key semantics replicate the row path exactly:
-///
-/// - NULL keys map to `None`, matching `Value::total_cmp`'s
-///   NULL-equals-NULL storage equality that the row path's
-///   `HashMap<Value, _>` uses;
-/// - float keys use `f64::to_bits`, the same equivalence the row path
-///   gets from `Value`'s `total_cmp`-based `Eq` and `to_bits`-based
-///   `Hash`;
-/// - mismatched type families (e.g. an `Int` build key probed by a
-///   `Date`, where `Value`'s tag-prefixed `Hash` never finds the
-///   bucket even though `Eq` would coerce) and `Mixed` columns fall back
-///   to the row implementation wholesale, bug-for-bug.
-pub fn hash_join_columnar(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
-) -> Batch {
-    hash_join_columnar_inner(tracker, build, probe, build_key, probe_key, None)
-        .expect("serial hash join has no token to interrupt it")
-}
-
-/// Morsel-parallel [`hash_join_columnar`], bit-identical to
-/// [`hash_join_par`].  Returns `None` when the query's token fired.
-pub fn hash_join_columnar_par(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    hash_join_columnar_inner(tracker, build, probe, build_key, probe_key, Some(opts))
-}
-
-fn hash_join_columnar_inner(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
-    opts: Option<&ExecOptions>,
 ) -> Option<Batch> {
     let bk = build.schema.expect_index(build_key);
     let pk = probe.schema.expect_index(probe_key);
@@ -202,8 +84,7 @@ fn hash_join_columnar_inner(
                 nulls: pn,
             },
         ) => {
-            // total_cmp equality ⟺ identical bit patterns, so the bits are
-            // the exact key equivalence the row path uses.
+            // total_cmp equality ⟺ identical bit patterns.
             let (bnull, pnull) = (key_null(bn), key_null(pn));
             join_typed(
                 tracker,
@@ -278,25 +159,40 @@ fn hash_join_columnar_inner(
                 opts,
             )
         }
-        _ => match opts {
-            None => Some(hash_join(tracker, build, probe, build_key, probe_key)),
-            Some(o) => hash_join_par(tracker, build, probe, build_key, probe_key, o),
-        },
+        _ => {
+            let value_key = |rows: &[Vec<Value>], k: usize, i: usize| {
+                let v = &rows[i][k];
+                (!v.is_null()).then(|| v.clone())
+            };
+            join_typed(
+                tracker,
+                &build,
+                &probe,
+                |i| value_key(&build.rows, bk, i),
+                |i| value_key(&probe.rows, pk, i),
+                opts,
+            )
+        }
     }
 }
 
-/// Shared build/probe skeleton over primitive keys.  `None` keys are NULL
-/// and join with each other, mirroring `Value::Null`'s storage equality.
-/// Structure (build in row order, probe in row order, morsel-index-order
-/// merges, identical charges) matches [`hash_join`]/[`hash_join_par`]
-/// line for line, so rows, row order, and costs are bit-identical.
+/// Shared build/probe skeleton.  `None` keys are NULL and join with each
+/// other, mirroring `Value::Null`'s storage equality.
+///
+/// Build morsels produce local `key → row indices` maps that are merged
+/// **in morsel index order**; because morsel `i` only holds indices
+/// smaller than morsel `i+1`'s, every key's index list comes out
+/// ascending.  Probe morsels emit their matches independently and are
+/// concatenated in morsel order.  All three charges (`hash_builds`,
+/// `hash_probes`, `cpu_ops`) are totals over input/output sizes, so rows,
+/// row order, and costs are identical at every thread count.
 fn join_typed<K, FB, FP>(
     tracker: &mut CostTracker,
     build: &Batch,
     probe: &Batch,
     bkey: FB,
     pkey: FP,
-    opts: Option<&ExecOptions>,
+    opts: &ExecOptions,
 ) -> Option<Batch>
 where
     K: Hash + Eq + Send + Sync,
@@ -306,33 +202,24 @@ where
     let schema = join_schemas(build, probe);
 
     tracker.charge_hash_builds(build.len() as u64);
-    let mut table: HashMap<Option<K>, Vec<usize>> = HashMap::with_capacity(build.len());
-    match opts {
-        None => {
-            for i in 0..build.len() {
-                table.entry(bkey(i)).or_default().push(i);
-            }
+    let partials = run_morsels(opts, build.len(), |morsel| {
+        let mut local: HashMap<Option<K>, Vec<usize>> = HashMap::new();
+        for i in morsel {
+            local.entry(bkey(i)).or_default().push(i);
         }
-        Some(o) => {
-            let partials = run_morsels(o, build.len(), |morsel| {
-                let mut local: HashMap<Option<K>, Vec<usize>> = HashMap::new();
-                for i in morsel {
-                    local.entry(bkey(i)).or_default().push(i);
-                }
-                local
-            })?;
-            for partial in partials {
-                for (key, mut indices) in partial {
-                    table.entry(key).or_default().append(&mut indices);
-                }
-            }
+        local
+    })?;
+    let mut table: HashMap<Option<K>, Vec<usize>> = HashMap::with_capacity(build.len());
+    for partial in partials {
+        for (key, mut indices) in partial {
+            table.entry(key).or_default().append(&mut indices);
         }
     }
 
     tracker.charge_hash_probes(probe.len() as u64);
-    let emit = |range: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+    let parts = run_morsels(opts, probe.len(), |morsel| -> Vec<Vec<Value>> {
         let mut out = Vec::new();
-        for i in range {
+        for i in morsel {
             if let Some(matches) = table.get(&pkey(i)) {
                 let prow = &probe.rows[i];
                 for &bi in matches {
@@ -343,14 +230,8 @@ where
             }
         }
         out
-    };
-    let out: Vec<Vec<Value>> = match opts {
-        None => emit(0..probe.len()),
-        Some(o) => run_morsels(o, probe.len(), emit)?
-            .into_iter()
-            .flatten()
-            .collect(),
-    };
+    })?;
+    let out: Vec<Vec<Value>> = parts.into_iter().flatten().collect();
     tracker.charge_cpu_ops(out.len() as u64);
     Some(Batch::new(schema, out))
 }
@@ -422,50 +303,16 @@ pub fn merge_join(
 /// random I/O per matched (scattered) inner row — the access pattern that
 /// makes this plan unbeatable for a handful of outer rows and hopeless for
 /// thousands (Experiment 2's low-selectivity regime).
-pub fn indexed_nl_join(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    outer: Batch,
-    inner_table: &str,
-    inner_index_column: &str,
-    outer_key: &str,
-) -> Batch {
-    let inner = catalog.table(inner_table).expect("inner table exists");
-    let index = catalog
-        .secondary_index(inner_table, inner_index_column)
-        .unwrap_or_else(|| panic!("no secondary index on {inner_table}.{inner_index_column}"));
-    let ok = outer.schema.expect_index(outer_key);
-    let schema = outer.schema.join(inner.schema(), "l", "r");
-
-    let mut out = Vec::new();
-    for orow in &outer.rows {
-        tracker.charge_random_ios(1); // descend to the leaf for this key
-        let matches = index.lookup_eq(&orow[ok]);
-        tracker.charge_cpu_ops(matches.len() as u64);
-        let rids: Vec<Rid> = matches.iter().map(|(_, rid)| *rid).collect();
-        let rows = fetch_rows(inner, params, tracker, rids);
-        for irow in rows {
-            let mut row = orow.clone();
-            row.extend(irow);
-            out.push(row);
-        }
-    }
-    tracker.charge_cpu_ops(out.len() as u64);
-    Batch::new(schema, out)
-}
-
-/// Morsel-parallel [`indexed_nl_join`]: outer rows are morselized; each
-/// worker probes the (read-only) index and fetches inner rows, charging a
-/// morsel-local tracker.
 ///
-/// Every outer row's charges (descend, per-match CPU, per-call
-/// [`fetch_rows`]) are independent of the other rows, so summing the
-/// morsel trackers — all-integer counters — reproduces the serial totals
-/// exactly, and concatenating morsel outputs in index order reproduces
-/// the serial row order.  Returns `None` when the query's token fired.
+/// Outer rows are morselized; each morsel probes the (read-only) index
+/// and fetches inner rows on its own thread, charging a morsel-local
+/// tracker.  Every outer row's charges are independent of the other
+/// rows, so summing the morsel trackers — all-integer counters — gives
+/// the same totals at every thread count, and concatenating morsel
+/// outputs in index order keeps the outer row order.  Returns `None`
+/// when the query's token fired.
 #[allow(clippy::too_many_arguments)]
-pub fn indexed_nl_join_par(
+pub fn indexed_nl_join(
     catalog: &Catalog,
     params: &CostParams,
     tracker: &mut CostTracker,
@@ -582,6 +429,10 @@ mod tests {
     use rqo_expr::Expr;
     use rqo_storage::{DataType, Schema, TableBuilder};
 
+    fn inline() -> ExecOptions {
+        ExecOptions::default()
+    }
+
     fn batch(name_prefix: &str, keys: &[i64], payload: &[i64]) -> Batch {
         assert_eq!(keys.len(), payload.len());
         Batch::new(
@@ -601,7 +452,7 @@ mod tests {
         let mut tracker = CostTracker::new();
         let left = batch("a", &[1, 2, 2, 3], &[10, 20, 21, 30]);
         let right = batch("b", &[2, 3, 3, 4], &[200, 300, 301, 400]);
-        let out = hash_join(&mut tracker, left, right, "a_key", "b_key");
+        let out = hash_join(&mut tracker, left, right, "a_key", "b_key", &inline()).unwrap();
         // Matches: a=2 (2 rows) × b=2 (1 row) + a=3 (1) × b=3 (2) = 4 rows.
         assert_eq!(out.len(), 4);
         assert_eq!(out.schema.len(), 4);
@@ -615,7 +466,7 @@ mod tests {
         let mut t2 = CostTracker::new();
         let l = batch("a", &[5, 1, 3, 3, 9], &[0, 1, 2, 3, 4]);
         let r = batch("b", &[3, 3, 5, 7], &[30, 31, 50, 70]);
-        let h = hash_join(&mut t1, l.clone(), r.clone(), "a_key", "b_key");
+        let h = hash_join(&mut t1, l.clone(), r.clone(), "a_key", "b_key", &inline()).unwrap();
         let m = merge_join(&mut t2, l, r, "a_key", "b_key");
         assert_eq!(h.len(), m.len());
         // Same multiset of (key, lval, rval) triples.
@@ -654,11 +505,17 @@ mod tests {
         let mut tracker = CostTracker::new();
         let l = batch("a", &[], &[]);
         let r = batch("b", &[1], &[10]);
-        assert_eq!(
-            hash_join(&mut tracker, l.clone(), r.clone(), "a_key", "b_key").len(),
-            0
+        let out = hash_join(
+            &mut tracker,
+            l.clone(),
+            r.clone(),
+            "a_key",
+            "b_key",
+            &inline(),
         );
-        assert_eq!(hash_join(&mut tracker, r, l, "b_key", "a_key").len(), 0);
+        assert_eq!(out.unwrap().len(), 0);
+        let out = hash_join(&mut tracker, r, l, "b_key", "a_key", &inline());
+        assert_eq!(out.unwrap().len(), 0);
     }
 
     fn indexed_catalog() -> Catalog {
@@ -683,7 +540,17 @@ mod tests {
         let params = CostParams::default();
         let mut tracker = CostTracker::new();
         let outer = batch("o", &[0, 5, 99], &[1, 2, 3]);
-        let out = indexed_nl_join(&cat, &params, &mut tracker, outer, "inner", "k", "o_key");
+        let out = indexed_nl_join(
+            &cat,
+            &params,
+            &mut tracker,
+            outer,
+            "inner",
+            "k",
+            "o_key",
+            &inline(),
+        )
+        .unwrap();
         // Keys 0 and 5 have 4 inner rows each; 99 has none.
         assert_eq!(out.len(), 8);
         assert!(tracker.random_ios >= 3, "at least one descend per probe");
@@ -705,6 +572,7 @@ mod tests {
             "inner",
             "k",
             "o_key",
+            &inline(),
         );
         indexed_nl_join(
             &cat,
@@ -714,12 +582,13 @@ mod tests {
             "inner",
             "k",
             "o_key",
+            &inline(),
         );
         assert!(large.random_ios > 5 * small.random_ios);
     }
 
     #[test]
-    fn parallel_hash_join_is_bit_identical_to_serial() {
+    fn hash_join_is_bit_identical_across_thread_counts() {
         // 200 build rows with repeated keys, 300 probe rows.
         let bkeys: Vec<i64> = (0..200).map(|i| i % 17).collect();
         let bvals: Vec<i64> = (0..200).collect();
@@ -728,136 +597,137 @@ mod tests {
         let l = batch("a", &bkeys, &bvals);
         let r = batch("b", &pkeys, &pvals);
         let mut ts = CostTracker::new();
-        let serial = hash_join(&mut ts, l.clone(), r.clone(), "a_key", "b_key");
-        for threads in [1, 2, 8] {
+        let inline_opts = inline().with_morsel_size(16);
+        let serial = hash_join(
+            &mut ts,
+            l.clone(),
+            r.clone(),
+            "a_key",
+            "b_key",
+            &inline_opts,
+        );
+        let serial = serial.unwrap();
+        for threads in [2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();
-            let par =
-                hash_join_par(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+            let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
             assert_eq!(par.rows, serial.rows, "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }
     }
 
     #[test]
-    fn parallel_indexed_nl_join_is_bit_identical_to_serial() {
+    fn indexed_nl_join_is_bit_identical_across_thread_counts() {
         let cat = indexed_catalog();
         let params = CostParams::default();
         let okeys: Vec<i64> = (0..60).map(|i| i % 30).collect();
         let ovals: Vec<i64> = (0..60).collect();
         let outer = batch("o", &okeys, &ovals);
-        let mut ts = CostTracker::new();
-        let serial = indexed_nl_join(&cat, &params, &mut ts, outer.clone(), "inner", "k", "o_key");
-        for threads in [1, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(7);
-            let mut tp = CostTracker::new();
-            let par = indexed_nl_join_par(
+        let run = |opts: &ExecOptions| {
+            let mut t = CostTracker::new();
+            let out = indexed_nl_join(
                 &cat,
                 &params,
-                &mut tp,
+                &mut t,
                 outer.clone(),
                 "inner",
                 "k",
                 "o_key",
-                &opts,
-            )
-            .unwrap();
+                opts,
+            );
+            (out.unwrap(), t)
+        };
+        let (serial, ts) = run(&inline().with_morsel_size(7));
+        for threads in [2, 8] {
+            let (par, tp) = run(&ExecOptions::with_threads(threads).with_morsel_size(7));
             assert_eq!(par.rows, serial.rows, "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }
     }
 
     #[test]
-    fn columnar_hash_join_is_bit_identical_to_row_join() {
-        let bkeys: Vec<i64> = (0..100).map(|i| i % 13).collect();
-        let bvals: Vec<i64> = (0..100).collect();
-        let pkeys: Vec<i64> = (0..150).map(|i| i % 19).collect();
-        let pvals: Vec<i64> = (0..150).collect();
-        let l = batch("a", &bkeys, &bvals);
-        let r = batch("b", &pkeys, &pvals);
-        let mut ts = CostTracker::new();
-        let serial = hash_join(&mut ts, l.clone(), r.clone(), "a_key", "b_key");
-        let mut tc = CostTracker::new();
-        let columnar = hash_join_columnar(&mut tc, l.clone(), r.clone(), "a_key", "b_key");
-        assert_eq!(columnar.rows, serial.rows);
-        assert_eq!(tc, ts);
-        for threads in [1, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let mut tp = CostTracker::new();
-            let par =
-                hash_join_columnar_par(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts)
-                    .unwrap();
-            assert_eq!(par.rows, serial.rows, "threads={threads}");
-            assert_eq!(tp, ts, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn columnar_hash_join_typed_and_null_keys() {
+    fn hash_join_typed_null_and_cross_family_keys() {
         // Str keys, Float keys (incl. -0.0 vs 0.0 distinctness), NULL
-        // keys (which join with each other under storage equality), and a
-        // cross-type Int-vs-Float pairing that exercises the row
-        // fallback.
-        let str_batch = |prefix: &str, keys: &[&str]| {
+        // keys (which join with each other under storage equality), and
+        // cross-family Int⋈Float / Int⋈Date pairings that take the
+        // `Value`-keyed path.  Each must match a nested-loops oracle over
+        // `Value` equality.
+        let keyed = |name: &str, ty: DataType, keys: Vec<Value>| {
             Batch::new(
-                Schema::from_pairs(&[(&format!("{prefix}_key"), DataType::Str)]),
-                keys.iter().map(|&k| vec![Value::str(k)]).collect(),
+                Schema::from_pairs(&[(name, ty)]),
+                keys.into_iter().map(|k| vec![k]).collect(),
             )
         };
         let cases: Vec<(Batch, Batch)> = vec![
             (
-                str_batch("a", &["x", "y", "x", "z"]),
-                str_batch("b", &["x", "z", "w", "x"]),
-            ),
-            (
-                Batch::new(
-                    Schema::from_pairs(&[("a_key", DataType::Float)]),
-                    vec![
-                        vec![Value::Float(0.0)],
-                        vec![Value::Float(-0.0)],
-                        vec![Value::Float(2.5)],
-                        vec![Value::Null],
-                    ],
+                keyed(
+                    "a_key",
+                    DataType::Str,
+                    ["x", "y", "x", "z"].map(Value::str).to_vec(),
                 ),
-                Batch::new(
-                    Schema::from_pairs(&[("b_key", DataType::Float)]),
-                    vec![
-                        vec![Value::Float(0.0)],
-                        vec![Value::Float(2.5)],
-                        vec![Value::Null],
-                    ],
+                keyed(
+                    "b_key",
+                    DataType::Str,
+                    ["x", "z", "w", "x"].map(Value::str).to_vec(),
                 ),
             ),
             (
-                Batch::new(
-                    Schema::from_pairs(&[("a_key", DataType::Int)]),
-                    vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(2)]],
+                keyed(
+                    "a_key",
+                    DataType::Float,
+                    vec![
+                        Value::Float(0.0),
+                        Value::Float(-0.0),
+                        Value::Float(2.5),
+                        Value::Null,
+                    ],
                 ),
-                Batch::new(
-                    Schema::from_pairs(&[("b_key", DataType::Float)]),
-                    vec![vec![Value::Float(1.0)], vec![Value::Null]],
+                keyed(
+                    "b_key",
+                    DataType::Float,
+                    vec![Value::Float(0.0), Value::Float(2.5), Value::Null],
+                ),
+            ),
+            (
+                keyed(
+                    "a_key",
+                    DataType::Int,
+                    vec![Value::Int(1), Value::Null, Value::Int(2)],
+                ),
+                keyed(
+                    "b_key",
+                    DataType::Float,
+                    vec![Value::Float(1.0), Value::Null, Value::Float(2.5)],
+                ),
+            ),
+            (
+                keyed(
+                    "a_key",
+                    DataType::Date,
+                    vec![Value::Date(3), Value::Date(4), Value::Date(3)],
+                ),
+                keyed(
+                    "b_key",
+                    DataType::Int,
+                    vec![Value::Int(3), Value::Int(5), Value::Int(4)],
                 ),
             ),
         ];
         for (l, r) in cases {
-            let mut ts = CostTracker::new();
-            let serial = hash_join(&mut ts, l.clone(), r.clone(), "a_key", "b_key");
-            let mut tc = CostTracker::new();
-            let columnar = hash_join_columnar(&mut tc, l.clone(), r.clone(), "a_key", "b_key");
-            assert_eq!(columnar.rows, serial.rows);
-            assert_eq!(tc, ts);
-            let opts = ExecOptions::with_threads(2).with_morsel_size(2);
-            let mut tp = CostTracker::new();
-            let par =
-                hash_join_columnar_par(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts)
-                    .unwrap();
-            // Parallel row path is the ground truth for ordering too.
-            let mut tr = CostTracker::new();
-            let row_par =
-                hash_join_par(&mut tr, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.rows, row_par.rows);
-            assert_eq!(par.rows, serial.rows);
-            assert_eq!(tp, ts);
+            let mut expect = Vec::new();
+            for prow in &r.rows {
+                for brow in &l.rows {
+                    if brow[0] == prow[0] {
+                        expect.push(vec![brow[0].clone(), prow[0].clone()]);
+                    }
+                }
+            }
+            for opts in [inline(), ExecOptions::with_threads(2).with_morsel_size(2)] {
+                let mut t = CostTracker::new();
+                let out = hash_join(&mut t, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+                assert_eq!(out.rows, expect, "opts={opts:?}");
+                assert_eq!(t.cpu_ops, expect.len() as u64);
+            }
         }
     }
 

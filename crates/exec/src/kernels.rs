@@ -1,15 +1,14 @@
 //! Vectorized mid-pipeline kernels: batch filter and projection.
 //!
-//! These back the executor's `Filter` and `Project` nodes on the default
-//! columnar path.  Both take the input [`Batch`] by value, do their work
-//! over typed columns (filter) or column-at-a-time loops (project), and
-//! hand back a row-major [`Batch`] — bit-identical rows, order, and cost
-//! to the row-at-a-time path they replace.  CPU charges stay in the
-//! executor (they are input-size-based and path-independent).
+//! These back the executor's `Filter` and `Project` nodes.  Both take the
+//! input [`Batch`] by value, do their work morsel by morsel over typed
+//! columns (filter) or in one row-assembly pass (project), and hand back a
+//! row-major [`Batch`].  CPU charges stay in the executor (they are
+//! input-size-based).
 
 use rqo_expr::columnar::{select, Candidates};
 use rqo_expr::Expr;
-use rqo_storage::Schema;
+use rqo_storage::{Schema, Value};
 
 use crate::batch::Batch;
 use crate::columnar::{column_refs, columnarize, SelVec};
@@ -17,12 +16,9 @@ use crate::morsel::{run_morsels, ExecOptions};
 
 /// Vectorized filter: evaluates the bound predicate over typed column
 /// vectors (transposed once per batch, only the referenced columns) and
-/// materializes surviving rows from the selection vector.
-///
-/// Pass `Some(opts)` to run morsel-parallel; `None` runs serially over
-/// the whole batch.  Returns `None` only when the query's token fired
-/// mid-batch (impossible with `opts == None`).
-pub fn filter_batch(batch: Batch, bound: &Expr, opts: Option<&ExecOptions>) -> Option<Batch> {
+/// materializes each morsel's surviving rows from its selection vector.
+/// Returns `None` only when the query's token fired mid-batch.
+pub fn filter_batch(batch: Batch, bound: &Expr, opts: &ExecOptions) -> Option<Batch> {
     let ords: Vec<usize> = bound
         .referenced_columns()
         .iter()
@@ -31,23 +27,14 @@ pub fn filter_batch(batch: Batch, bound: &Expr, opts: Option<&ExecOptions>) -> O
     let cols = columnarize(&batch.rows, &batch.schema, &ords);
     let refs = column_refs(&cols);
     let n = batch.rows.len();
-    let filter_morsel = |morsel: std::ops::Range<usize>| -> Vec<Vec<rqo_storage::Value>> {
+    let parts = run_morsels(opts, n, |morsel| -> Vec<Vec<Value>> {
         let sel = SelVec::new(select(bound, &refs, Candidates::Range(morsel)), n);
         sel.ids()
             .iter()
             .map(|&i| batch.rows[i as usize].clone())
             .collect()
-    };
-    match opts {
-        None => {
-            let rows = filter_morsel(0..n);
-            Some(Batch::new(batch.schema.clone(), rows))
-        }
-        Some(o) => {
-            let parts = run_morsels(o, n, filter_morsel)?;
-            Some(Batch::from_parts(batch.schema.clone(), parts))
-        }
-    }
+    })?;
+    Some(Batch::from_parts(batch.schema.clone(), parts))
 }
 
 /// Morselized projection kernel.
@@ -59,36 +46,26 @@ pub fn filter_batch(batch: Batch, bound: &Expr, opts: Option<&ExecOptions>) -> O
 /// `project` entry pinning that this kernel does not regress the row
 /// baseline).  `schema` is the projected output schema
 /// (`batch.schema.project(..)`), computed by the caller alongside the
-/// ordinals.  Pass `Some(opts)` to run morsel-parallel.  Returns `None`
-/// only when the query's token fired mid-batch.
+/// ordinals.  Returns `None` only when the query's token fired mid-batch.
 pub fn project_batch(
     batch: Batch,
     ordinals: &[usize],
     schema: Schema,
-    opts: Option<&ExecOptions>,
+    opts: &ExecOptions,
 ) -> Option<Batch> {
-    let project_morsel = |morsel: std::ops::Range<usize>| -> Vec<Vec<rqo_storage::Value>> {
+    let parts = run_morsels(opts, batch.rows.len(), |morsel| -> Vec<Vec<Value>> {
         batch.rows[morsel]
             .iter()
             .map(|row| ordinals.iter().map(|&i| row[i].clone()).collect())
             .collect()
-    };
-    match opts {
-        None => {
-            let rows = project_morsel(0..batch.rows.len());
-            Some(Batch::new(schema, rows))
-        }
-        Some(o) => {
-            let parts = run_morsels(o, batch.rows.len(), project_morsel)?;
-            Some(Batch::from_parts(schema, parts))
-        }
-    }
+    })?;
+    Some(Batch::from_parts(schema, parts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqo_storage::{DataType, Value};
+    use rqo_storage::DataType;
 
     /// Mixed-type batch with NULLs sprinkled in.
     fn batch() -> Batch {
@@ -135,11 +112,11 @@ mod tests {
         for pred in &preds {
             let bound = pred.bind(&b.schema).unwrap();
             let expect = row_filter(&b, &bound);
-            let serial = filter_batch(b.clone(), &bound, None).unwrap();
+            let serial = filter_batch(b.clone(), &bound, &ExecOptions::default()).unwrap();
             assert_eq!(serial.rows, expect, "pred={pred:?}");
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(32);
-                let par = filter_batch(b.clone(), &bound, Some(&opts)).unwrap();
+                let par = filter_batch(b.clone(), &bound, &opts).unwrap();
                 assert_eq!(par.rows, expect, "pred={pred:?} threads={threads}");
             }
         }
@@ -149,7 +126,7 @@ mod tests {
     fn filter_empty_batch() {
         let b = Batch::new(batch().schema, Vec::new());
         let bound = Expr::col("a").ge(Expr::lit(0i64)).bind(&b.schema).unwrap();
-        let out = filter_batch(b, &bound, None).unwrap();
+        let out = filter_batch(b, &bound, &ExecOptions::default()).unwrap();
         assert!(out.rows.is_empty());
     }
 
@@ -163,12 +140,18 @@ mod tests {
             .iter()
             .map(|row| ordinals.iter().map(|&i| row[i].clone()).collect())
             .collect();
-        let serial = project_batch(b.clone(), &ordinals, schema.clone(), None).unwrap();
+        let serial = project_batch(
+            b.clone(),
+            &ordinals,
+            schema.clone(),
+            &ExecOptions::default(),
+        )
+        .unwrap();
         assert_eq!(serial.rows, expect);
         assert_eq!(serial.schema.names(), vec!["c", "a"]);
         for threads in [2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(32);
-            let par = project_batch(b.clone(), &ordinals, schema.clone(), Some(&opts)).unwrap();
+            let par = project_batch(b.clone(), &ordinals, schema.clone(), &opts).unwrap();
             assert_eq!(par.rows, expect, "threads={threads}");
         }
     }

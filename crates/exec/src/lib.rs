@@ -23,12 +23,16 @@
 //!
 //! # Parallel execution
 //!
-//! [`execute_with`] accepts [`ExecOptions`] and, for `threads > 1`, runs
-//! scans, RID fetches, hash-join build/probe, hash aggregation, filters,
-//! and projections **morsel-parallel** on a pool of scoped worker threads
-//! (see [`morsel`]).  Results and simulated costs are bit-identical to
-//! serial execution by construction — parallelism changes wall-clock
-//! time, never answers or charged cost.
+//! Every operator has one implementation.  Scans, RID fetches, hash-join
+//! build/probe, hash aggregation, filters, projections and indexed
+//! nested-loop joins all split their input into morsels (see [`morsel`]);
+//! [`ExecOptions`] decides only who runs the morsels — the calling thread
+//! (the default, and what [`execute`] does), a pool of scoped worker
+//! threads (`threads > 1`), or an external scheduler.  Morsel boundaries
+//! depend on the morsel size alone and partial results merge in morsel
+//! index order, so rows, simulated costs and float aggregates are
+//! bit-identical for every thread count and scheduler — parallelism
+//! changes wall-clock time, never answers or charged cost.
 //!
 //! # Cooperative cancellation
 //!
@@ -36,10 +40,9 @@
 //! polls it at every operator entry and every morsel boundary, so a
 //! cancelled or past-deadline query stops within one morsel of work.
 //! [`try_execute_with`] / [`try_execute_analyze`] surface the stop as an
-//! `Err(StopReason)` instead of panicking.  An options value carrying a
-//! token also routes single-threaded execution through the morselized
-//! operator paths (bit-identical to serial by the equivalence suite), so
-//! polls happen per-morsel even at `threads = 1`.
+//! `Err(StopReason)` instead of panicking.  A token that never fires
+//! changes nothing: the same morsels run in the same order as without
+//! one.
 
 #![warn(missing_docs)]
 

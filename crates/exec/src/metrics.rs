@@ -34,8 +34,8 @@ pub struct OpMetrics {
     /// via [`OpMetrics::annotate`].
     pub est_rows: Option<f64>,
     /// Number of morsels the operator's parallelizable input splits into
-    /// under the active morsel size.  Computed from sizes, so serial and
-    /// parallel execution report the same count; operators that never
+    /// under the active morsel size.  Computed from sizes, so every
+    /// thread count reports the same count; operators that never
     /// morselize (merge join, star semijoin) report 0.
     pub morsels: u64,
     /// Peak number of entries resident in the operator's hash table

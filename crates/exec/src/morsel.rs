@@ -7,15 +7,16 @@
 //! materialize-everything model.
 //!
 //! Determinism is the design constraint, not an afterthought: every
-//! parallel operator in this crate produces morsel-local results that the
-//! coordinator recombines **in morsel index order**.  Because morsel
-//! boundaries depend only on [`ExecOptions::morsel_size`] (never on the
-//! thread count, the scheduler, or timing), the recombined rows and the
-//! merged [`rqo_storage::CostTracker`] totals are bit-identical across
-//! thread counts and across schedulers — the property the
-//! `parallel_equivalence` differential suite pins down.
+//! operator in this crate that splits its input does so through this
+//! module, producing morsel-local results that the coordinator recombines
+//! **in morsel index order**.  There is no separate serial code path.
+//! Because morsel boundaries depend only on [`ExecOptions::morsel_size`]
+//! (never on the thread count, the scheduler, or timing), the recombined
+//! rows and the merged [`rqo_storage::CostTracker`] totals are
+//! bit-identical across thread counts and across schedulers — the
+//! property the `parallel_equivalence` differential suite pins down.
 //!
-//! Three scheduling modes share one entry point, [`run_morsels`]:
+//! Three scheduling modes share one entry point, `run_morsels`:
 //!
 //! * **Inline** (`threads <= 1`, no scheduler): the calling thread runs
 //!   every morsel, polling the [`QueryToken`] between morsels.
@@ -27,7 +28,7 @@
 //!   runs many queries on one fixed set of threads.
 //!
 //! In every mode a fired token stops the job **within one morsel**: no new
-//! morsel is started after the poll observes the stop, and [`run_morsels`]
+//! morsel is started after the poll observes the stop, and `run_morsels`
 //! returns `None` so the operator tree unwinds without fabricating a
 //! partial result.
 
@@ -68,14 +69,17 @@ pub trait MorselScheduler: Send + Sync {
 
 /// Execution knobs threaded through [`crate::execute_with`].
 ///
-/// The default is serial execution (`threads = 1`, no scheduler, no
-/// token), which takes exactly the same code paths as [`crate::execute`]
-/// did before parallelism existed.
+/// Every operator runs through the same morsel path whatever these
+/// options say; they choose only *who* runs the morsels.  The default
+/// (`threads = 1`, no scheduler, no token) runs them inline on the
+/// calling thread, which is what [`crate::execute`] does.  Rows, cost
+/// bits and operator metrics depend on the morsel size alone, so they
+/// are identical for every thread count, scheduler and token.
 #[derive(Clone)]
 pub struct ExecOptions {
-    /// Worker threads for scoped parallel operators.  `0` and `1` both
-    /// mean serial execution (unless a [`scheduler`](Self::scheduler) is
-    /// attached).
+    /// Worker threads for scoped execution.  `0` and `1` both mean the
+    /// calling thread runs every morsel (unless a
+    /// [`scheduler`](Self::scheduler) is attached).
     pub threads: usize,
     /// Rows per morsel (clamped to at least 1).  Affects only how work is
     /// chunked; results and costs are identical for every value.
@@ -86,11 +90,6 @@ pub struct ExecOptions {
     /// External morsel scheduler (the service's shared worker pool).
     /// When present it replaces per-query `thread::scope` entirely.
     pub scheduler: Option<Arc<dyn MorselScheduler>>,
-    /// Forces the pre-vectorization row-at-a-time kernels for scan,
-    /// filter, project, hash join, and hash aggregation.  Results, costs,
-    /// and metrics are bit-identical to the columnar default; the flag
-    /// exists so differential tests can pin that equivalence.
-    pub row_fallback: bool,
 }
 
 impl std::fmt::Debug for ExecOptions {
@@ -100,7 +99,6 @@ impl std::fmt::Debug for ExecOptions {
             .field("morsel_size", &self.morsel_size)
             .field("token", &self.token.is_some())
             .field("scheduler", &self.scheduler.is_some())
-            .field("row_fallback", &self.row_fallback)
             .finish()
     }
 }
@@ -121,7 +119,6 @@ impl PartialEq for ExecOptions {
             && self.morsel_size == other.morsel_size
             && tokens_match
             && schedulers_match
-            && self.row_fallback == other.row_fallback
     }
 }
 
@@ -134,13 +131,12 @@ impl Default for ExecOptions {
             morsel_size: DEFAULT_MORSEL_SIZE,
             token: None,
             scheduler: None,
-            row_fallback: false,
         }
     }
 }
 
 impl ExecOptions {
-    /// Serial execution (the default).
+    /// Inline execution on the calling thread (the default).
     pub fn serial() -> Self {
         Self::default()
     }
@@ -172,19 +168,6 @@ impl ExecOptions {
         self
     }
 
-    /// Forces the row-at-a-time reference kernels (see
-    /// [`row_fallback`](Self::row_fallback)).
-    pub fn with_row_fallback(mut self, row_fallback: bool) -> Self {
-        self.row_fallback = row_fallback;
-        self
-    }
-
-    /// True when parallel operator variants should run (scoped workers or
-    /// an external pool).
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1 || self.scheduler.is_some()
-    }
-
     /// Polls the token (if any): `Some(reason)` means the query must stop.
     pub fn check_stop(&self) -> Option<StopReason> {
         self.token.as_ref().and_then(QueryToken::poll)
@@ -198,10 +181,9 @@ impl ExecOptions {
     }
 
     /// Number of morsels an input of `n` rows splits into under these
-    /// options — the same arithmetic [`run_morsels`] uses, so the count
-    /// depends only on sizes, never on the thread count or scheduling.
-    /// `EXPLAIN ANALYZE` reports this for serial execution too (the count
-    /// the morsel scheduler *would* use).
+    /// options.  Every operator splits its input with this arithmetic, so
+    /// the count depends only on sizes, never on the thread count or
+    /// scheduling.
     pub fn morsel_count(&self, n: usize) -> u64 {
         n.div_ceil(self.morsel_size.max(1)) as u64
     }
@@ -316,9 +298,7 @@ mod tests {
     fn defaults_are_serial() {
         let o = ExecOptions::default();
         assert_eq!(o.threads, 1);
-        assert!(!o.is_parallel());
-        assert!(ExecOptions::with_threads(2).is_parallel());
-        assert!(!ExecOptions::with_threads(0).is_parallel());
+        assert!(o.token.is_none() && o.scheduler.is_none());
         assert_eq!(ExecOptions::serial(), ExecOptions::default());
         assert_eq!(
             ExecOptions::with_threads(4).with_morsel_size(7).morsel_size,

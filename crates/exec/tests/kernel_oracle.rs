@@ -1,7 +1,9 @@
 //! Differential kernel-oracle harness: every vectorized columnar kernel
-//! is checked against a naive row-at-a-time reference implementation
-//! written independently in this file, and against the executor's
-//! row-fallback path, on arbitrary (NULL-heavy) inputs.
+//! is checked, inline and at 2 and 8 threads, against a naive
+//! row-at-a-time reference implementation written independently in this
+//! file, on arbitrary (NULL-heavy) inputs.  These references are the only
+//! row-at-a-time implementations left: the executor has one morsel path
+//! per operator.
 //!
 //! "Identical" here means *bit*-identical: same rows, same row order,
 //! same simulated cost, same `OpMetrics` — not just the same multiset.
@@ -9,6 +11,7 @@
 //! get dedicated deterministic tests below the property block.
 
 use proptest::prelude::*;
+use rqo_core::QueryToken;
 use rqo_exec::kernels::{filter_batch, project_batch};
 use rqo_exec::{execute_analyze, AggExpr, AggFunc, Batch, ExecOptions, PhysicalPlan};
 use rqo_expr::Expr;
@@ -89,8 +92,7 @@ fn oracle_project(batch: &Batch, ordinals: &[usize]) -> Vec<Vec<Value>> {
 
 /// Nested-loops hash-join oracle: for each probe row in order, emit
 /// `build ++ probe` for every matching build row in build order.  Key
-/// equality is the storage equality the row path's `HashMap<Value, _>`
-/// uses — NULL keys match NULL keys.
+/// equality is `Value`'s storage equality — NULL keys match NULL keys.
 fn oracle_join(build: &Batch, probe: &Batch, bk: usize, pk: usize) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
     for prow in &probe.rows {
@@ -105,9 +107,11 @@ fn oracle_join(build: &Batch, probe: &Batch, bk: usize, pk: usize) -> Vec<Vec<Va
     out
 }
 
-/// Row-at-a-time aggregation oracle: accumulators updated in row order
-/// (same float-addition sequence as the serial engine), groups emitted
-/// sorted by key — the engine's deterministic output order.
+/// Row-at-a-time aggregation oracle: accumulators updated in row order,
+/// groups emitted sorted by key — the engine's deterministic output
+/// order.  The float inputs are multiples of 0.25 within a small range,
+/// so partial sums are exact and any morsel split must reproduce the
+/// row-order sums bit for bit.
 fn oracle_aggregate(batch: &Batch, group: usize, aggs: &[AggExpr]) -> Vec<Vec<Value>> {
     struct Acc {
         key: Value,
@@ -215,11 +219,11 @@ proptest! {
         let batch = make_batch(&rows);
         let bound = predicate(which, cut).bind(&batch.schema).unwrap();
         let expect = oracle_filter(&batch, &bound);
-        let serial = filter_batch(batch.clone(), &bound, None).unwrap();
+        let serial = filter_batch(batch.clone(), &bound, &ExecOptions::default()).unwrap();
         prop_assert_eq!(&serial.rows, &expect);
         for threads in [2usize, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let par = filter_batch(batch.clone(), &bound, Some(&opts)).unwrap();
+            let par = filter_batch(batch.clone(), &bound, &opts).unwrap();
             prop_assert_eq!(&par.rows, &expect, "threads={}", threads);
         }
     }
@@ -242,18 +246,21 @@ proptest! {
         };
         let schema = batch.schema.project(&ordinals);
         let expect = oracle_project(&batch, &ordinals);
-        let serial = project_batch(batch.clone(), &ordinals, schema.clone(), None).unwrap();
+        let serial =
+            project_batch(batch.clone(), &ordinals, schema.clone(), &ExecOptions::default())
+                .unwrap();
         prop_assert_eq!(&serial.rows, &expect);
         for threads in [2usize, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let par = project_batch(batch.clone(), &ordinals, schema.clone(), Some(&opts)).unwrap();
+            let par = project_batch(batch.clone(), &ordinals, schema.clone(), &opts).unwrap();
             prop_assert_eq!(&par.rows, &expect, "threads={}", threads);
         }
     }
 
     /// The typed-key hash-join kernel reproduces the nested-loops oracle
     /// (probe-major order, build order within a key, NULL keys matching
-    /// NULL keys) and charges identically to the row join.
+    /// NULL keys) and charges one build per build row, one probe per
+    /// probe row, and one CPU op per output row, at every thread count.
     #[test]
     fn join_kernel_matches_oracle(
         build in prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
@@ -262,32 +269,25 @@ proptest! {
         let b = make_batch(&build);
         let p = make_batch(&probe);
         let expect = oracle_join(&b, &p, 0, 0);
+        let mut expect_cost = CostTracker::new();
+        expect_cost.charge_hash_builds(b.len() as u64);
+        expect_cost.charge_hash_probes(p.len() as u64);
+        expect_cost.charge_cpu_ops(expect.len() as u64);
 
-        let mut t_row = CostTracker::new();
-        let row = rqo_exec::join::hash_join(&mut t_row, b.clone(), p.clone(), "a", "a");
-        prop_assert_eq!(&row.rows, &expect);
-
-        let mut t_col = CostTracker::new();
-        let col = rqo_exec::join::hash_join_columnar(&mut t_col, b.clone(), p.clone(), "a", "a");
-        prop_assert_eq!(&col.rows, &expect);
-        prop_assert_eq!(t_col, t_row);
-
-        for threads in [2usize, 8] {
+        for threads in [1usize, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let mut t_par = CostTracker::new();
-            let par = rqo_exec::join::hash_join_columnar_par(
-                &mut t_par, b.clone(), p.clone(), "a", "a", &opts,
-            )
-            .unwrap();
-            prop_assert_eq!(&par.rows, &expect, "threads={}", threads);
-            prop_assert_eq!(t_par, t_row, "threads={}", threads);
+            let mut t = CostTracker::new();
+            let out = rqo_exec::join::hash_join(&mut t, b.clone(), p.clone(), "a", "a", &opts)
+                .unwrap();
+            prop_assert_eq!(&out.rows, &expect, "threads={}", threads);
+            prop_assert_eq!(t, expect_cost, "threads={}", threads);
         }
     }
 
     /// The columnar aggregation kernel reproduces the row-order oracle
-    /// bit-for-bit (float sums accumulate in the same sequence) over
-    /// NULL-heavy inputs, and the morsel-parallel variant matches the
-    /// row engine's morsel-parallel variant at the same granularity.
+    /// bit-for-bit over NULL-heavy inputs — in one morsel and split into
+    /// 16-row morsels at every thread count (the 0.25-step inputs make
+    /// every partial-sum merge exact).
     #[test]
     fn agg_kernel_matches_oracle(
         rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
@@ -295,42 +295,30 @@ proptest! {
         let batch = make_batch(&rows);
         let aggs = agg_menu();
         let expect = oracle_aggregate(&batch, 2, &aggs);
+        let group = ["c".to_string()];
 
-        let mut t_col = CostTracker::new();
-        let col = rqo_exec::agg::hash_aggregate_columnar(
-            &mut t_col, batch.clone(), &["c".to_string()], &aggs,
-        );
-        prop_assert_eq!(&col.rows, &expect);
+        let mut t_one = CostTracker::new();
+        let one = rqo_exec::agg::hash_aggregate(
+            &mut t_one, batch.clone(), &group, &aggs, &ExecOptions::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(&one.rows, &expect);
+        prop_assert_eq!(t_one.hash_builds, batch.len() as u64);
+        prop_assert_eq!(t_one.cpu_ops, expect.len() as u64);
 
-        let mut t_row = CostTracker::new();
-        let row = rqo_exec::agg::hash_aggregate(
-            &mut t_row, batch.clone(), &["c".to_string()], &aggs,
-        );
-        prop_assert_eq!(&row.rows, &expect);
-        prop_assert_eq!(t_col, t_row);
-
-        // Parallel merges float partials morsel-order, so compare the
-        // columnar-parallel engine against the row-parallel engine.
-        for threads in [2usize, 8] {
+        for threads in [1usize, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let mut t_rp = CostTracker::new();
-            let row_par = rqo_exec::agg::hash_aggregate_par(
-                &mut t_rp, batch.clone(), &["c".to_string()], &aggs, &opts,
-            )
-            .unwrap();
-            let mut t_cp = CostTracker::new();
-            let col_par = rqo_exec::agg::hash_aggregate_columnar_par(
-                &mut t_cp, batch.clone(), &["c".to_string()], &aggs, &opts,
-            )
-            .unwrap();
-            prop_assert_eq!(&col_par.rows, &row_par.rows, "threads={}", threads);
-            prop_assert_eq!(t_cp, t_rp, "threads={}", threads);
+            let mut t = CostTracker::new();
+            let out = rqo_exec::agg::hash_aggregate(&mut t, batch.clone(), &group, &aggs, &opts)
+                .unwrap();
+            prop_assert_eq!(&out.rows, &expect, "threads={}", threads);
+            prop_assert_eq!(t, t_one, "threads={}", threads);
         }
     }
 
-    /// Executor-level differential: the default columnar path and the
-    /// row-fallback path produce bit-identical rows, costs, AND
-    /// `OpMetrics` trees for a scan→join→filter→project→aggregate plan.
+    /// Executor-level differential: a scan→join→filter→project→aggregate
+    /// plan produces bit-identical rows, costs, AND `OpMetrics` trees
+    /// inline, with a token, and at 2 and 8 threads.
     #[test]
     fn executor_paths_bit_identical(
         rows in prop::collection::vec((-10i64..10, -50i64..50), 1..80),
@@ -366,14 +354,18 @@ proptest! {
             group_by: vec!["l.k".into()],
             aggregates: vec![AggExpr::sum("r.v", "s"), AggExpr::count_star("n")],
         };
-        let base_opts = ExecOptions::serial().with_morsel_size(16).with_row_fallback(true);
+        let base_opts = ExecOptions::serial().with_morsel_size(16);
         let (rb, rc, rm) = execute_analyze(&plan, &cat, &params, &base_opts);
-        for threads in [1usize, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
+        let variants = [
+            ("token", base_opts.clone().with_token(QueryToken::new())),
+            ("2 threads", ExecOptions::with_threads(2).with_morsel_size(16)),
+            ("8 threads", ExecOptions::with_threads(8).with_morsel_size(16)),
+        ];
+        for (mode, opts) in variants {
             let (cb, cc, cm) = execute_analyze(&plan, &cat, &params, &opts);
-            prop_assert_eq!(&cb.rows, &rb.rows, "threads={}", threads);
-            prop_assert_eq!(cc, rc, "threads={}", threads);
-            prop_assert_eq!(&cm, &rm, "threads={}", threads);
+            prop_assert_eq!(&cb.rows, &rb.rows, "{}", mode);
+            prop_assert_eq!(cc, rc, "{}", mode);
+            prop_assert_eq!(&cm, &rm, "{}", mode);
         }
     }
 }
@@ -383,28 +375,37 @@ proptest! {
 fn kernels_on_empty_batch() {
     let empty = make_batch(&[]);
     let bound = predicate(0, 0).bind(&empty.schema).unwrap();
-    assert!(filter_batch(empty.clone(), &bound, None)
+    let inline = ExecOptions::default();
+    assert!(filter_batch(empty.clone(), &bound, &inline)
         .unwrap()
         .rows
         .is_empty());
 
     let ordinals = [2usize, 0];
     let schema = empty.schema.project(&ordinals);
-    let projected = project_batch(empty.clone(), &ordinals, schema, None).unwrap();
+    let projected = project_batch(empty.clone(), &ordinals, schema, &inline).unwrap();
     assert!(projected.rows.is_empty());
     assert_eq!(projected.schema.names(), vec!["c", "a"]);
 
     let mut t = CostTracker::new();
-    let joined = rqo_exec::join::hash_join_columnar(&mut t, empty.clone(), empty.clone(), "a", "a");
+    let joined =
+        rqo_exec::join::hash_join(&mut t, empty.clone(), empty.clone(), "a", "a", &inline).unwrap();
     assert!(joined.rows.is_empty());
 
     // Scalar aggregate over empty input still yields its identity row.
     let mut t = CostTracker::new();
-    let aggd = rqo_exec::agg::hash_aggregate_columnar(&mut t, empty.clone(), &[], &agg_menu());
-    let mut t2 = CostTracker::new();
-    let row = rqo_exec::agg::hash_aggregate(&mut t2, empty, &[], &agg_menu());
-    assert_eq!(aggd.rows, row.rows);
-    assert_eq!(aggd.len(), 1);
+    let aggd = rqo_exec::agg::hash_aggregate(&mut t, empty, &[], &agg_menu(), &inline).unwrap();
+    assert_eq!(
+        aggd.rows,
+        vec![vec![
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]]
+    );
 }
 
 /// All-selected and none-selected filters are exact (and exactly empty).
@@ -417,7 +418,7 @@ fn filter_kernel_all_and_none_selected() {
         .or(Expr::col("a").ge(Expr::lit(i64::MIN)))
         .bind(&batch.schema)
         .unwrap();
-    let out = filter_batch(batch.clone(), &all, None).unwrap();
+    let out = filter_batch(batch.clone(), &all, &ExecOptions::default()).unwrap();
     assert_eq!(out.rows, batch.rows);
 
     let none = Expr::col("b")
@@ -425,10 +426,10 @@ fn filter_kernel_all_and_none_selected() {
         .bind(&batch.schema)
         .unwrap();
     for opts in [
-        None,
-        Some(ExecOptions::with_threads(4).with_morsel_size(16)),
+        ExecOptions::default(),
+        ExecOptions::with_threads(4).with_morsel_size(16),
     ] {
-        let out = filter_batch(batch.clone(), &none, opts.as_ref()).unwrap();
+        let out = filter_batch(batch.clone(), &none, &opts).unwrap();
         assert!(out.rows.is_empty());
     }
 }

@@ -6,8 +6,10 @@
 //! **bit-identical** `CostTracker` totals: the simulated cost models the
 //! plan's work, never the host's parallelism.
 //!
-//! Aggregate inputs use integer-valued floats, for which partial-sum
-//! merging is exact, so even SUM/AVG results must match to the last bit.
+//! Every operator runs one morsel path at every thread count, so even
+//! float SUM/AVG over non-dyadic inputs must match to the last bit;
+//! [`float_aggregates_are_bit_identical_across_execution_modes`] pins
+//! that deterministically.
 //!
 //! The same differential harness also pins the `EXPLAIN ANALYZE` metrics
 //! tree: every per-operator counter ([`OpMetrics`] compares everything
@@ -15,18 +17,19 @@
 //! and 8 threads for the same morsel size.
 
 use proptest::prelude::*;
+use rqo_core::QueryToken;
 use rqo_datagen::workload::exp1_lineitem_predicate;
 use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::{
-    execute, execute_analyze, AggExpr, ExecOptions, IndexRange, OpMetrics, PhysicalPlan,
+    execute, execute_analyze, execute_with, AggExpr, ExecOptions, IndexRange, OpMetrics,
+    PhysicalPlan,
 };
 use rqo_expr::Expr;
 use rqo_storage::{Catalog, CostParams, DataType, Schema, TableBuilder, Value};
 
 /// Runs the plan serially and at 1/2/8 threads with the given morsel
-/// size — on both the default columnar path and the `row_fallback`
-/// row-at-a-time path — requiring identical rows, identical cost totals,
-/// and identical per-operator metrics trees across every combination.
+/// size, requiring identical rows, identical cost totals, and identical
+/// per-operator metrics trees across every thread count.
 fn assert_equivalent(
     cat: &Catalog,
     plan: &PhysicalPlan,
@@ -35,50 +38,42 @@ fn assert_equivalent(
     let params = CostParams::default();
     let (serial, serial_cost) = execute(plan, cat, &params);
     let mut baseline: Option<OpMetrics> = None;
-    for row_fallback in [false, true] {
-        for threads in [1usize, 2, 8] {
-            let opts = ExecOptions::with_threads(threads)
-                .with_morsel_size(morsel)
-                .with_row_fallback(row_fallback);
-            let (par, par_cost, metrics) = execute_analyze(plan, cat, &params, &opts);
-            prop_assert_eq!(
-                &par.rows,
-                &serial.rows,
-                "rows diverged: threads={} morsel={} row_fallback={} plan_nodes={}",
-                threads,
-                morsel,
-                row_fallback,
-                plan.node_count()
-            );
-            prop_assert_eq!(
-                par_cost,
-                serial_cost,
-                "cost diverged: threads={} morsel={} row_fallback={} plan_nodes={}",
-                threads,
-                morsel,
-                row_fallback,
-                plan.node_count()
-            );
-            match &baseline {
-                None => baseline = Some(metrics),
-                Some(base) => {
-                    prop_assert_eq!(
-                        metrics.render(),
-                        base.render(),
-                        "rendered metrics diverged: threads={} morsel={} row_fallback={}",
-                        threads,
-                        morsel,
-                        row_fallback
-                    );
-                    prop_assert_eq!(
-                        &metrics,
-                        base,
-                        "metrics tree diverged: threads={} morsel={} row_fallback={}",
-                        threads,
-                        morsel,
-                        row_fallback
-                    );
-                }
+    for threads in [1usize, 2, 8] {
+        let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
+        let (par, par_cost, metrics) = execute_analyze(plan, cat, &params, &opts);
+        prop_assert_eq!(
+            &par.rows,
+            &serial.rows,
+            "rows diverged: threads={} morsel={} plan_nodes={}",
+            threads,
+            morsel,
+            plan.node_count()
+        );
+        prop_assert_eq!(
+            par_cost,
+            serial_cost,
+            "cost diverged: threads={} morsel={} plan_nodes={}",
+            threads,
+            morsel,
+            plan.node_count()
+        );
+        match &baseline {
+            None => baseline = Some(metrics),
+            Some(base) => {
+                prop_assert_eq!(
+                    metrics.render(),
+                    base.render(),
+                    "rendered metrics diverged: threads={} morsel={}",
+                    threads,
+                    morsel
+                );
+                prop_assert_eq!(
+                    &metrics,
+                    base,
+                    "metrics tree diverged: threads={} morsel={}",
+                    threads,
+                    morsel
+                );
             }
         }
     }
@@ -278,5 +273,62 @@ proptest! {
             ],
         };
         assert_equivalent(&cat, &plan, morsel)?;
+    }
+}
+
+/// SUM/AVG over non-dyadic floats spanning several morsels, with groups:
+/// `execute` (inline), a tokened run at one thread (the service path),
+/// and 2- and 8-thread runs must agree bit for bit.  Every execution mode
+/// runs the same morsels and merges them in the same order.
+#[test]
+fn float_aggregates_are_bit_identical_across_execution_modes() {
+    let n = 20_000i64;
+    let mut b = TableBuilder::new(
+        "f",
+        Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
+        n as usize,
+    );
+    for i in 0..n {
+        b.push_row(&[Value::Int(i % 3), Value::Float(0.1 * i as f64 + 1.0 / 3.0)]);
+    }
+    let mut cat = Catalog::new();
+    cat.add_table(b.finish()).unwrap();
+    let params = CostParams::default();
+    let scan = || {
+        Box::new(PhysicalPlan::SeqScan {
+            table: "f".into(),
+            predicate: None,
+        })
+    };
+    let aggregates = vec![AggExpr::sum("x", "s"), AggExpr::avg("x", "a")];
+    for group_by in [vec![], vec!["g".to_string()]] {
+        let plan = PhysicalPlan::HashAggregate {
+            input: scan(),
+            group_by,
+            aggregates: aggregates.clone(),
+        };
+        // 20k rows are five default-size morsels.
+        assert!(ExecOptions::default().morsel_count(n as usize) >= 3);
+        let (serial, serial_cost) = execute(&plan, &cat, &params);
+        let modes = [
+            (
+                "token",
+                ExecOptions::with_threads(1).with_token(QueryToken::new()),
+            ),
+            ("2 threads", ExecOptions::with_threads(2)),
+            ("8 threads", ExecOptions::with_threads(8)),
+        ];
+        for (mode, opts) in modes {
+            let (rows, cost) = execute_with(&plan, &cat, &params, &opts);
+            let bits = |b: &rqo_exec::Batch| -> Vec<Vec<u64>> {
+                b.rows
+                    .iter()
+                    .map(|r| r.iter().map(|v| v.as_f64().to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&rows), bits(&serial), "{mode}");
+            assert_eq!(rows.rows, serial.rows, "{mode}");
+            assert_eq!(cost, serial_cost, "{mode}");
+        }
     }
 }

@@ -143,7 +143,7 @@ fn rows_out_preorder(m: &OpMetrics) -> Vec<(String, u64)> {
 }
 
 /// Full bit-identity when every partition survives: rows, cost, and
-/// normalized metrics across serial/parallel, columnar/row-fallback.
+/// normalized metrics across thread counts.
 fn assert_bit_identical(
     flat_cat: &Catalog,
     part_cat: &Catalog,
@@ -156,35 +156,28 @@ fn assert_bit_identical(
     let (part_rows, part_cost) = execute(&part_plan, part_cat, &params);
     prop_assert_eq!(&part_rows.rows, &flat_rows.rows, "serial rows diverged");
     prop_assert_eq!(part_cost, flat_cost, "serial cost diverged");
-    for row_fallback in [false, true] {
-        for threads in [1usize, 2, 8] {
-            let opts = ExecOptions::with_threads(threads)
-                .with_morsel_size(morsel)
-                .with_row_fallback(row_fallback);
-            let (f_batch, f_cost, mut f_metrics) =
-                execute_analyze(flat_plan, flat_cat, &params, &opts);
-            let (p_batch, p_cost, mut p_metrics) =
-                execute_analyze(&part_plan, part_cat, &params, &opts);
-            prop_assert_eq!(
-                &p_batch.rows,
-                &f_batch.rows,
-                "rows diverged: threads={} morsel={} row_fallback={}",
-                threads,
-                morsel,
-                row_fallback
-            );
-            prop_assert_eq!(p_cost, f_cost, "cost diverged: threads={}", threads);
-            normalize_labels(&mut f_metrics);
-            normalize_labels(&mut p_metrics);
-            prop_assert_eq!(
-                &p_metrics,
-                &f_metrics,
-                "metrics diverged: threads={} morsel={} row_fallback={}",
-                threads,
-                morsel,
-                row_fallback
-            );
-        }
+    for threads in [1usize, 2, 8] {
+        let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
+        let (f_batch, f_cost, mut f_metrics) = execute_analyze(flat_plan, flat_cat, &params, &opts);
+        let (p_batch, p_cost, mut p_metrics) =
+            execute_analyze(&part_plan, part_cat, &params, &opts);
+        prop_assert_eq!(
+            &p_batch.rows,
+            &f_batch.rows,
+            "rows diverged: threads={} morsel={}",
+            threads,
+            morsel
+        );
+        prop_assert_eq!(p_cost, f_cost, "cost diverged: threads={}", threads);
+        normalize_labels(&mut f_metrics);
+        normalize_labels(&mut p_metrics);
+        prop_assert_eq!(
+            &p_metrics,
+            &f_metrics,
+            "metrics diverged: threads={} morsel={}",
+            threads,
+            morsel
+        );
     }
     Ok(())
 }

@@ -113,7 +113,9 @@ proptest! {
         let rb = mk_batch("r", &right);
 
         let mut t1 = rqo_storage::CostTracker::new();
-        let hashed = rqo_exec::join::hash_join(&mut t1, lb.clone(), rb.clone(), "lk", "rk");
+        let opts = rqo_exec::ExecOptions::default();
+        let hashed = rqo_exec::join::hash_join(&mut t1, lb.clone(), rb.clone(), "lk", "rk", &opts)
+            .unwrap();
         prop_assert_eq!(canon(&hashed), expected.clone());
 
         let mut t2 = rqo_storage::CostTracker::new();
@@ -136,8 +138,9 @@ proptest! {
         );
         let mut tracker = rqo_storage::CostTracker::new();
         let joined = rqo_exec::join::indexed_nl_join(
-            &cat, &params, &mut tracker, outer, "t", "k", "ok",
-        );
+            &cat, &params, &mut tracker, outer, "t", "k", "ok", &rqo_exec::ExecOptions::default(),
+        )
+        .unwrap();
         let mut expected: Vec<String> = Vec::new();
         for &ok in &outer_keys {
             for &(k, v) in &inner {
@@ -172,7 +175,9 @@ proptest! {
                 AggExpr::min("x", "lo"),
                 AggExpr::max("x", "hi"),
             ],
-        );
+            &rqo_exec::ExecOptions::default(),
+        )
+        .unwrap();
         use std::collections::BTreeMap;
         let mut expected: BTreeMap<i64, (f64, i64, i64, i64)> = BTreeMap::new();
         for &(g, x) in &rows {

@@ -374,11 +374,12 @@ impl PlanCache {
     /// Drops every cached plan that reads `table` (counted under
     /// `epoch_invalidations`), returning how many were dropped.  Plans
     /// over other tables stay warm — this is the partial-refresh
-    /// counterpart of [`invalidate_epochs_before`]
-    /// (Self::invalidate_epochs_before): a per-table statistics refresh
-    /// makes only the refreshed table's plans stale, and the per-table
-    /// epoch inside new fingerprints already keeps them from being hit
-    /// again, so the eager drop here is pure housekeeping.
+    /// counterpart of
+    /// [`invalidate_epochs_before`](Self::invalidate_epochs_before): a
+    /// per-table statistics refresh makes only the refreshed table's
+    /// plans stale, and the per-table epoch inside new fingerprints
+    /// already keeps them from being hit again, so the eager drop here
+    /// is pure housekeeping.
     pub fn invalidate_table(&self, table: &str) -> usize {
         let mut inner = self.write();
         let stale: Vec<PlanFingerprint> = inner

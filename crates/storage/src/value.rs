@@ -222,17 +222,20 @@ impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
+            // `Eq` coerces Int↔Float through `as f64` and Int↔Date through
+            // `as i64`, so all three hash the `f64` they compare as: values
+            // that are equal always hash equally.
             Value::Int(v) => {
                 1u8.hash(state);
-                v.hash(state);
+                (*v as f64).to_bits().hash(state);
             }
             Value::Float(v) => {
-                2u8.hash(state);
+                1u8.hash(state);
                 v.to_bits().hash(state);
             }
             Value::Date(v) => {
-                3u8.hash(state);
-                v.hash(state);
+                1u8.hash(state);
+                f64::from(*v).to_bits().hash(state);
             }
             Value::Str(v) => {
                 4u8.hash(state);
@@ -428,6 +431,25 @@ mod tests {
         assert!(set.contains(&Value::str("five")));
         assert!(set.contains(&Value::Null));
         assert!(!set.contains(&Value::Int(6)));
+        // Numerics equal under `total_cmp` must hash equally.
+        let hash = |v: &Value| {
+            use std::hash::{BuildHasher, BuildHasherDefault};
+            BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(v)
+        };
+        for (a, b) in [
+            (Value::Int(5), Value::Float(5.0)),
+            (Value::Int(5), Value::Date(5)),
+            (Value::Int(-3), Value::Float(-3.0)),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(hash(&a), hash(&b), "{a:?} vs {b:?}");
+        }
+        // Numeric probes only: a hash set compares colliding keys with
+        // `Eq`, which panics on incomparable (numeric vs string) values.
+        let numbers: HashSet<Value> = [Value::Int(5)].into_iter().collect();
+        assert!(numbers.contains(&Value::Float(5.0)));
+        assert!(numbers.contains(&Value::Date(5)));
+        assert!(!numbers.contains(&Value::Float(5.5)));
     }
 
     #[test]
