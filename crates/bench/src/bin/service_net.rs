@@ -3,6 +3,11 @@
 //! report p50/p99/p999 latency, queue depth, and admission outcomes to
 //! `BENCH_service_net.json`.
 //!
+//! Before the storm, an uncontended phase runs 100 sequential one-row
+//! queries on one connection and asserts their p50 is below
+//! [`UNCONTENDED_P50_LIMIT_MS`]: a reply stalled on the peer's delayed
+//! ACK (a 40 ms floor on loopback) fails the run.
+//!
 //! The run deliberately includes hostile traffic — forced mid-query
 //! disconnects and malformed frames — and then **self-asserts**:
 //!
@@ -25,6 +30,13 @@ use std::time::{Duration, Instant};
 
 use robust_qo::prelude::*;
 use robust_qo::service::proto::write_frame;
+
+/// Gate on the uncontended phase's p50, far below the 40 ms
+/// delayed-ACK floor and far above a healthy loopback round trip.
+const UNCONTENDED_P50_LIMIT_MS: f64 = 10.0;
+
+/// Sequential one-row queries in the uncontended phase.
+const UNCONTENDED_QUERIES: usize = 100;
 
 struct Args {
     scale: f64,
@@ -142,6 +154,29 @@ fn main() {
         .map(|q| warm.run(q).expect("reference run").rows)
         .collect();
     let warm_runs = queries.len() as u64;
+
+    // Uncontended phase: one connection, one query at a time, so the
+    // latency is the wire round trip plus a warm-cache run.
+    let uncontended_p50 = {
+        let mut client = NetClient::connect(addr).expect("connect");
+        let mut lat: Vec<u128> = (0..UNCONTENDED_QUERIES)
+            .map(|_| {
+                let t0 = Instant::now();
+                let reply = client.run(&queries[0]).expect("uncontended run");
+                let elapsed = t0.elapsed().as_nanos();
+                assert_eq!(reply.rows, expected[0], "uncontended rows");
+                elapsed
+            })
+            .collect();
+        lat.sort_unstable();
+        percentile(&lat, 0.50)
+    };
+    eprintln!("uncontended: {UNCONTENDED_QUERIES} sequential queries, p50 {uncontended_p50:.3}ms");
+    assert!(
+        uncontended_p50 < UNCONTENDED_P50_LIMIT_MS,
+        "uncontended p50 {uncontended_p50:.3} ms ≥ {UNCONTENDED_P50_LIMIT_MS} ms: \
+         replies are stalling on the wire"
+    );
 
     let latencies: Mutex<Vec<u128>> = Mutex::new(Vec::new());
     let mismatches = AtomicU64::new(0);
@@ -334,6 +369,7 @@ fn main() {
     writeln!(json, "  \"connections\": {},", args.connections).unwrap();
     writeln!(json, "  \"rounds\": {},", args.rounds).unwrap();
     writeln!(json, "  \"queries\": {total},").unwrap();
+    writeln!(json, "  \"uncontended_p50_ms\": {uncontended_p50:.3},").unwrap();
     writeln!(json, "  \"wall_s\": {wall_s:.4},").unwrap();
     writeln!(json, "  \"queries_per_sec\": {:.1},", total as f64 / wall_s).unwrap();
     writeln!(json, "  \"latency_ms\": {{").unwrap();

@@ -25,6 +25,10 @@
 //!   *hit* again; [`PlanCache::invalidate_epochs_before`] additionally
 //!   drops them eagerly so the map does not grow without bound.
 //! * **Explicit [`clear`](PlanCache::clear)**.
+//! * **Capacity** — the cache holds at most [`PLAN_CACHE_CAPACITY`]
+//!   plans.  An insert into a full cache first evicts the least recently
+//!   used eighth of the entries in one pass, so a stream of one-off
+//!   queries keeps memory flat instead of growing the map forever.
 //!
 //! Every event is counted and exposed as a [`CacheStats`] snapshot so the
 //! cache's behaviour is observable rather than inferred.
@@ -44,6 +48,13 @@ use crate::query::Query;
 /// moves cost estimates without usually moving the argmin; a 2× error is
 /// where the paper's cost curves start crossing.
 pub const DEFAULT_DRIFT_BOUND: f64 = 2.0;
+
+/// Most plans the cache holds.  Inserting into a full cache evicts the
+/// least recently used ⌈capacity / 8⌉ entries first.  Repeated workloads
+/// need far fewer (the paper's sweeps cache 39 plans); the bound exists
+/// for streams of one-off queries, which would otherwise grow the map
+/// without limit.
+pub const PLAN_CACHE_CAPACITY: usize = 1024;
 
 /// Selectivity floor used in q-error comparisons, so an estimate of
 /// exactly zero still yields a finite (and enormous) q-error against any
@@ -138,6 +149,9 @@ pub struct CacheStats {
     /// Entries dropped by statistics-epoch invalidation (plus explicit
     /// `clear`).
     pub epoch_invalidations: u64,
+    /// Least-recently-used entries evicted to keep the cache within
+    /// [`PLAN_CACHE_CAPACITY`].
+    pub capacity_evictions: u64,
     /// Plans currently cached.
     pub entries: usize,
 }
@@ -158,11 +172,13 @@ impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "hits={} misses={} drift_evictions={} epoch_invalidations={} entries={} (hit rate {:.1}%)",
+            "hits={} misses={} drift_evictions={} epoch_invalidations={} \
+             capacity_evictions={} entries={} (hit rate {:.1}%)",
             self.hits,
             self.misses,
             self.drift_evictions,
             self.epoch_invalidations,
+            self.capacity_evictions,
             self.entries,
             self.hit_rate() * 100.0
         )
@@ -180,6 +196,9 @@ struct CacheEntry {
     /// lists, sorted), so a per-table statistics refresh can evict
     /// exactly the plans whose pricing depended on the refreshed table.
     tables: Vec<String>,
+    /// Tick of the latest insert or hit (the LRU order).  Atomic so a
+    /// hit can bump it under the shared read lock.
+    last_use: AtomicU64,
 }
 
 #[derive(Default)]
@@ -195,10 +214,15 @@ struct Inner {
 pub struct PlanCache {
     inner: RwLock<Inner>,
     drift_bound: f64,
+    /// [`PLAN_CACHE_CAPACITY`] outside this module's tests.
+    capacity: usize,
+    /// Source of `CacheEntry::last_use` ticks.
+    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     drift_evictions: AtomicU64,
     epoch_invalidations: AtomicU64,
+    capacity_evictions: AtomicU64,
 }
 
 impl Default for PlanCache {
@@ -218,10 +242,13 @@ impl PlanCache {
         Self {
             inner: RwLock::new(Inner::default()),
             drift_bound,
+            capacity: PLAN_CACHE_CAPACITY,
+            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             drift_evictions: AtomicU64::new(0),
             epoch_invalidations: AtomicU64::new(0),
+            capacity_evictions: AtomicU64::new(0),
         }
     }
 
@@ -240,14 +267,21 @@ impl PlanCache {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The next LRU tick.  `Relaxed`: ticks order uses, they publish no
+    /// other data.
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Looks up a fingerprint, counting the hit or miss.  The returned
     /// plan is shared — callers clone nodes out of it as needed.
     pub fn get(&self, fingerprint: &PlanFingerprint) -> Option<Arc<PlannedQuery>> {
-        let found = self
-            .read()
-            .plans
-            .get(fingerprint)
-            .map(|e| Arc::clone(&e.planned));
+        let found = self.read().plans.get(fingerprint).map(|e| {
+            // `fetch_max`: a racing hit that drew an older tick cannot
+            // move the entry back in the LRU order.
+            e.last_use.fetch_max(self.tick(), Ordering::Relaxed);
+            Arc::clone(&e.planned)
+        });
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -302,6 +336,8 @@ impl PlanCache {
         // or keys priced only by the displaced plan would dangle.
         if let Some(old) = inner.plans.remove(&fingerprint) {
             unindex(&mut inner, &fingerprint, &old);
+        } else if inner.plans.len() >= self.capacity {
+            self.evict_lru(&mut inner);
         }
         for key in priced_at.keys() {
             inner
@@ -316,9 +352,33 @@ impl PlanCache {
                 planned: Arc::clone(&planned),
                 priced_at,
                 tables: entry_tables,
+                last_use: AtomicU64::new(self.tick()),
             },
         );
         planned
+    }
+
+    /// Evicts the least recently used ⌈capacity / 8⌉ entries in one
+    /// pass (a partial selection on the tick, not a full sort).
+    fn evict_lru(&self, inner: &mut Inner) {
+        let mut by_age: Vec<(u64, &PlanFingerprint)> = inner
+            .plans
+            .iter()
+            .map(|(fp, e)| (e.last_use.load(Ordering::Relaxed), fp))
+            .collect();
+        let n = self.capacity.div_ceil(8).min(by_age.len());
+        if n < by_age.len() {
+            by_age.select_nth_unstable_by_key(n, |&(tick, _)| tick);
+        }
+        let victims: Vec<PlanFingerprint> =
+            by_age[..n].iter().map(|(_, fp)| (*fp).clone()).collect();
+        for fp in &victims {
+            if let Some(entry) = inner.plans.remove(fp) {
+                unindex(inner, fp, &entry);
+            }
+        }
+        self.capacity_evictions
+            .fetch_add(victims.len() as u64, Ordering::Relaxed);
     }
 
     /// Reacts to an observed selectivity for one estimation-request key
@@ -420,6 +480,10 @@ impl PlanCache {
             self.epoch_invalidations.load(Ordering::Relaxed) + self.len() as u64,
             Ordering::Relaxed,
         );
+        fresh.capacity_evictions.store(
+            self.capacity_evictions.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
         fresh
     }
 
@@ -455,6 +519,7 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             drift_evictions: self.drift_evictions.load(Ordering::Relaxed),
             epoch_invalidations: self.epoch_invalidations.load(Ordering::Relaxed),
+            capacity_evictions: self.capacity_evictions.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }
@@ -718,5 +783,158 @@ mod tests {
     #[should_panic(expected = "must be a finite q-error")]
     fn rejects_sub_unit_drift_bound() {
         PlanCache::new(0.5);
+    }
+
+    /// The cache's structural invariants: within capacity, every
+    /// `by_key` edge points at a live entry priced with that key, and
+    /// every live entry's priced-at keys are indexed.
+    fn assert_consistent(cache: &PlanCache) {
+        let inner = cache.read();
+        assert!(inner.plans.len() <= cache.capacity, "over capacity");
+        for (key, holders) in &inner.by_key {
+            assert!(!holders.is_empty(), "empty reverse-index set for {key}");
+            for fp in holders {
+                let entry = inner
+                    .plans
+                    .get(fp)
+                    .expect("by_key names a dead fingerprint");
+                assert!(entry.priced_at.contains_key(key), "stale edge for {key}");
+            }
+        }
+        for (fp, entry) in &inner.plans {
+            for key in entry.priced_at.keys() {
+                assert!(
+                    inner.by_key.get(key).is_some_and(|h| h.contains(fp)),
+                    "unindexed key {key}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn capacity_bound_evicts_least_recently_used() {
+        let cache = PlanCache::default();
+        let queries: Vec<(Query, PlanFingerprint)> = (0..PLAN_CACHE_CAPACITY + 100)
+            .map(|i| {
+                let q = query("t", i as i64);
+                let fp = PlanFingerprint::of(&q, threshold(), 0);
+                (q, fp)
+            })
+            .collect();
+        let (full, overflow) = queries.split_at(PLAN_CACHE_CAPACITY);
+        for (q, fp) in full {
+            cache.insert(fp.clone(), planned(q, 10.0, 100.0));
+        }
+        assert_eq!(cache.len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(cache.stats().capacity_evictions, 0);
+
+        // The oldest entry, hit just before the overflow, is the most
+        // recently used one when eviction runs.
+        cache.get(&full[0].1).expect("cached");
+        for (q, fp) in overflow {
+            cache.insert(fp.clone(), planned(q, 10.0, 100.0));
+        }
+
+        let stats = cache.stats();
+        assert!(cache.len() <= PLAN_CACHE_CAPACITY);
+        assert!(cache.contains(&full[0].1), "the hit entry survives");
+        assert!(!cache.contains(&full[1].1), "the LRU entry is gone");
+        assert!(overflow.iter().all(|(_, fp)| cache.contains(fp)));
+        assert_eq!(
+            stats.capacity_evictions as usize,
+            PLAN_CACHE_CAPACITY + 100 - cache.len(),
+            "every dropped entry is counted"
+        );
+        assert_eq!(
+            stats.capacity_evictions as usize,
+            PLAN_CACHE_CAPACITY.div_ceil(8)
+        );
+        assert_eq!((stats.drift_evictions, stats.epoch_invalidations), (0, 0));
+        assert_consistent(&cache);
+        // An evicted plan's keys left the reverse index with it.
+        assert!(cache.observe(&key_of(&full[1].0), 0.9).is_empty());
+        assert!(stats.to_string().contains("capacity_evictions=128"));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert { q: usize, est: u8 },
+        Get(usize),
+        Observe { q: usize, selectivity: f64 },
+        InvalidateTable(usize),
+    }
+
+    const TABLES: [&str; 2] = ["t", "u"];
+
+    fn op_query(i: usize) -> Query {
+        query(TABLES[i % 2], (i / 2) as i64)
+    }
+
+    /// Mostly inserts and hits, so the cache is often full; table
+    /// invalidation, which empties half of it, is rare.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..16, 0usize..24, 1u8..100, 0.0f64..1.0).prop_map(|(kind, q, est, selectivity)| {
+            match kind {
+                0..=7 => Op::Insert { q, est },
+                8..=12 => Op::Get(q),
+                13..=14 => Op::Observe { q, selectivity },
+                _ => Op::InvalidateTable(q % 2),
+            }
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any mix of inserts, hits, drift observations and table
+        /// invalidations keeps the cache within capacity with a
+        /// consistent reverse index; a plan hit just before an insert
+        /// survives it; and every entry that left is counted exactly
+        /// once under one of the three eviction counters.
+        #[test]
+        fn random_op_sequences_keep_cache_invariants(
+            capacity in 1usize..12,
+            ops in prop::collection::vec(op(), 0..200),
+        ) {
+            let cache = PlanCache { capacity, ..PlanCache::default() };
+            let mut added = 0u64;
+            let mut just_hit: Option<PlanFingerprint> = None;
+            for op in ops {
+                let hit = match op {
+                    Op::Insert { q, est } => {
+                        let query = op_query(q);
+                        let fp = PlanFingerprint::of(&query, threshold(), 0);
+                        added += u64::from(!cache.contains(&fp));
+                        cache.insert(fp, planned(&query, f64::from(est), 100.0));
+                        if let Some(hit) = &just_hit {
+                            prop_assert!(capacity == 1 || cache.contains(hit));
+                        }
+                        None
+                    }
+                    Op::Get(q) => {
+                        let fp = PlanFingerprint::of(&op_query(q), threshold(), 0);
+                        cache.get(&fp).map(|_| fp)
+                    }
+                    Op::Observe { q, selectivity } => {
+                        cache.observe(&key_of(&op_query(q)), selectivity);
+                        None
+                    }
+                    Op::InvalidateTable(t) => {
+                        cache.invalidate_table(TABLES[t]);
+                        None
+                    }
+                };
+                just_hit = hit;
+                assert_consistent(&cache);
+                let s = cache.stats();
+                prop_assert_eq!(
+                    added,
+                    s.entries as u64 + s.drift_evictions + s.epoch_invalidations
+                        + s.capacity_evictions
+                );
+            }
+        }
     }
 }

@@ -39,7 +39,7 @@ pub mod replan;
 pub mod selection;
 
 pub use analyze::{annotate_plan, NodeAnnotation, NodeAnnotations};
-pub use cache::{CacheStats, PlanCache, PlanFingerprint, DEFAULT_DRIFT_BOUND};
+pub use cache::{CacheStats, PlanCache, PlanFingerprint, DEFAULT_DRIFT_BOUND, PLAN_CACHE_CAPACITY};
 pub use cost::CostModel;
 pub use planner::{detect_sorted_columns, Optimizer, PlannedQuery};
 pub use prune::pruned_partitions;

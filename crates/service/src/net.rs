@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,8 +48,8 @@ use rqo_optimizer::Query;
 use rqo_storage::Value;
 
 use crate::proto::{
-    read_frame, write_frame, ErrorCode, FrameReadError, ProtoError, Request, Response, RunMode,
-    DEFAULT_BATCH_ROWS,
+    encode_batch, read_frame, write_frame, ErrorCode, FrameReadError, ProtoError, Request,
+    Response, RunMode, DEFAULT_BATCH_ROWS,
 };
 use crate::service::{QueryHandle, QueryService, ServiceError};
 
@@ -354,6 +354,10 @@ fn accept_loop(
         if inner.shutting_down.load(Ordering::SeqCst) {
             return;
         }
+        // Each reply is flushed whole once complete, so Nagle's
+        // algorithm could only hold its last segment back until the
+        // client's delayed ACK (about 40 ms).
+        stream.set_nodelay(true).ok();
         let active = inner.stats.active.load(Ordering::SeqCst);
         if active as usize >= inner.config.max_connections {
             inner
@@ -429,7 +433,7 @@ fn serve_connection(inner: &Arc<NetInner>, conn_id: u64, stream: TcpStream) {
         Ok(h) => h,
         Err(_) => return,
     };
-    executor_loop(inner, stream, rx, &in_flight);
+    executor_loop(inner, BufWriter::new(stream), rx, &in_flight);
     let _ = reader.join();
 }
 
@@ -437,11 +441,12 @@ fn serve_connection(inner: &Arc<NetInner>, conn_id: u64, stream: TcpStream) {
 /// errors, and turns EOF/transport failure into cancellation of the
 /// in-flight query.
 fn read_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     tx: Sender<ConnEvent>,
     in_flight: Arc<Mutex<Option<QueryToken>>>,
     inner: Arc<NetInner>,
 ) {
+    let mut stream = BufReader::new(stream);
     loop {
         match read_frame(&mut stream) {
             Ok(Some(body)) => match Request::decode(&body) {
@@ -483,7 +488,7 @@ fn read_loop(
 /// Processes requests serially and writes responses.
 fn executor_loop(
     inner: &Arc<NetInner>,
-    mut stream: TcpStream,
+    mut stream: Conn,
     rx: Receiver<ConnEvent>,
     in_flight: &Arc<Mutex<Option<QueryToken>>>,
 ) {
@@ -536,15 +541,19 @@ fn executor_loop(
             ConnEvent::Eof => break,
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = stream.get_ref().shutdown(Shutdown::Both);
 }
+
+/// The executor side of a connection.  Every reply goes through the
+/// buffer and is flushed once, after its last frame.
+type Conn = BufWriter<TcpStream>;
 
 /// Runs one query end to end; returns `false` if the connection is
 /// unwritable and should close.
 #[allow(clippy::too_many_arguments)]
 fn handle_run(
     inner: &Arc<NetInner>,
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     in_flight: &Arc<Mutex<Option<QueryToken>>>,
     tenant: &str,
     id: u64,
@@ -552,7 +561,7 @@ fn handle_run(
     deadline_ms: u64,
     query: Query,
 ) -> bool {
-    let fail = |stream: &mut TcpStream, code: ErrorCode, message: String| {
+    let fail = |stream: &mut Conn, code: ErrorCode, message: String| {
         inner.stats.queries_err.fetch_add(1, Ordering::SeqCst);
         send(stream, &Response::Error { id, code, message }).is_ok()
     };
@@ -601,12 +610,10 @@ fn handle_run(
     match result {
         Ok(Ok((outcome, replans))) => {
             let total_rows = outcome.rows.len() as u64;
+            // Batches stream through the buffer unflushed (it spills to
+            // the socket whenever it fills); `Done` flushes the rest.
             for chunk in outcome.rows.chunks(inner.config.batch_rows.max(1)) {
-                let batch = Response::Batch {
-                    id,
-                    rows: chunk.to_vec(),
-                };
-                if send(stream, &batch).is_err() {
+                if write_frame(stream, &encode_batch(id, chunk)).is_err() {
                     return false;
                 }
             }
@@ -651,13 +658,13 @@ fn handle_run(
 /// [`ErrorCode::Internal`] — never the server.
 fn handle_insert(
     inner: &Arc<NetInner>,
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     tenant: &str,
     id: u64,
     table: &str,
     rows: Vec<Vec<Value>>,
 ) -> bool {
-    let fail = |stream: &mut TcpStream, code: ErrorCode, message: String| {
+    let fail = |stream: &mut Conn, code: ErrorCode, message: String| {
         inner.stats.inserts_err.fetch_add(1, Ordering::SeqCst);
         send(stream, &Response::Error { id, code, message }).is_ok()
     };
@@ -732,7 +739,9 @@ fn validate_query(inner: &Arc<NetInner>, query: &Query) -> Result<(), String> {
     Ok(())
 }
 
-fn send(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
+/// Writes a reply's final frame (`Pong`, `Done`, `Error`, `InsertOk`)
+/// and flushes the whole reply to the socket.
+fn send(stream: &mut Conn, resp: &Response) -> io::Result<()> {
     write_frame(stream, &resp.encode())?;
     stream.flush()
 }
@@ -804,7 +813,9 @@ pub struct QueryReply {
 /// one TCP connection.  Used by tests, the bench driver, and
 /// `rqo_serve --connect`.
 pub struct NetClient {
-    stream: TcpStream,
+    /// Replies are read through the buffer; requests are written to the
+    /// socket underneath, one `write` per frame.
+    stream: BufReader<TcpStream>,
     next_id: u64,
 }
 
@@ -813,7 +824,10 @@ impl NetClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(NetClient { stream, next_id: 1 })
+        Ok(NetClient {
+            stream: BufReader::new(stream),
+            next_id: 1,
+        })
     }
 
     /// Declares this connection's tenant (no reply expected).
@@ -821,14 +835,14 @@ impl NetClient {
         let req = Request::Hello {
             tenant: tenant.to_string(),
         };
-        write_frame(&mut self.stream, &req.encode())
+        write_frame(self.stream.get_mut(), &req.encode())
     }
 
     /// Round-trips a ping.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         let nonce = self.next_id;
         self.next_id += 1;
-        write_frame(&mut self.stream, &Request::Ping { nonce }.encode())?;
+        write_frame(self.stream.get_mut(), &Request::Ping { nonce }.encode())?;
         match self.recv()? {
             Response::Pong { nonce: n } if n == nonce => Ok(()),
             other => Err(unexpected(other)),
@@ -856,7 +870,7 @@ impl NetClient {
             deadline_ms,
             query: query.clone(),
         };
-        write_frame(&mut self.stream, &req.encode())?;
+        write_frame(self.stream.get_mut(), &req.encode())?;
         let mut rows: Vec<Vec<Value>> = Vec::new();
         loop {
             match self.recv()? {
@@ -910,7 +924,7 @@ impl NetClient {
             table: table.to_string(),
             rows,
         };
-        write_frame(&mut self.stream, &req.encode())?;
+        write_frame(self.stream.get_mut(), &req.encode())?;
         match self.recv()? {
             Response::InsertOk {
                 id: rid,
@@ -923,7 +937,7 @@ impl NetClient {
 
     /// Sends raw bytes down the socket (for malformed-frame tests).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)
+        self.stream.get_mut().write_all(bytes)
     }
 
     /// Reads one response frame.
@@ -937,7 +951,7 @@ impl NetClient {
     /// The underlying stream (for tests that need to half-close or
     /// drop abruptly).
     pub fn stream(&self) -> &TcpStream {
-        &self.stream
+        self.stream.get_ref()
     }
 }
 

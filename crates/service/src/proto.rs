@@ -371,10 +371,19 @@ impl fmt::Display for FrameReadError {
 impl std::error::Error for FrameReadError {}
 
 /// Wraps an encoded frame body in its length prefix and writes it.
+///
+/// Prefix and body go down in **one** `write_all` of a contiguous
+/// buffer.  Over a raw socket two writes would send the prefix in its
+/// own segment, and Nagle's algorithm would then hold the body back
+/// until the peer's delayed ACK (about 40 ms on loopback); through a
+/// [`BufWriter`](std::io::BufWriter) it costs nothing extra.  Writing
+/// does not flush: the caller flushes once per reply.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME_LEN as usize);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
 }
 
 // ---------------------------------------------------------------------
@@ -924,23 +933,29 @@ impl Request {
     }
 }
 
+/// Encodes a [`Response::Batch`] frame body from borrowed rows —
+/// byte-identical to `Response::Batch { id, rows: rows.to_vec() }.encode()`
+/// without cloning a single row.  The server streams result chunks
+/// through this.
+pub fn encode_batch(id: u64, rows: &[Vec<Value>]) -> Vec<u8> {
+    let mut e = Enc::new(TAG_BATCH);
+    e.u64(id);
+    e.u32(rows.len() as u32);
+    for row in rows {
+        e.u32(row.len() as u32);
+        for v in row {
+            e.value(v);
+        }
+    }
+    e.buf
+}
+
 impl Response {
     /// Encodes this response as one frame body (pair with
     /// [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Response::Batch { id, rows } => {
-                let mut e = Enc::new(TAG_BATCH);
-                e.u64(*id);
-                e.u32(rows.len() as u32);
-                for row in rows {
-                    e.u32(row.len() as u32);
-                    for v in row {
-                        e.value(v);
-                    }
-                }
-                e.buf
-            }
+            Response::Batch { id, rows } => encode_batch(*id, rows),
             Response::Done {
                 id,
                 columns,

@@ -6,6 +6,9 @@
 //! 2. **Never panics:** the decoder survives arbitrary byte soup —
 //!    truncated, oversized, and garbage frames all come back as typed
 //!    [`ProtoError`]s, never as panics or bad allocations.
+//! 3. **Borrowed batches:** [`encode_batch`] over a borrowed chunk of
+//!    result rows is byte-identical to encoding an owned
+//!    [`Response::Batch`].
 //!
 //! The vendored proptest subset has no recursive strategies, so
 //! structured values are *derived* from drawn byte scripts: the script
@@ -18,7 +21,8 @@ use rqo_exec::{AggExpr, AggFunc};
 use rqo_expr::{BinaryOp, Expr, UnaryOp};
 use rqo_optimizer::Query;
 use rqo_service::proto::{
-    read_frame, write_frame, FrameReadError, ProtoError, Request, Response, RunMode, MAX_FRAME_LEN,
+    encode_batch, read_frame, write_frame, FrameReadError, ProtoError, Request, Response, RunMode,
+    MAX_FRAME_LEN,
 };
 use rqo_storage::Value;
 
@@ -268,6 +272,30 @@ proptest! {
         let body = resp.encode();
         let back = Response::decode(&body).expect("own encoding decodes");
         prop_assert_eq!(back, resp);
+    }
+
+    /// The server's borrowed-chunk batch encoding is byte-identical to
+    /// the owned `Response::Batch` encoding, chunk by chunk.
+    #[test]
+    fn borrowed_batch_encoding_matches_owned(
+        script in proptest::collection::vec(any::<u8>(), 0..512),
+        id in any::<u64>(),
+        chunk_rows in 1usize..8,
+    ) {
+        let mut s = Script::new(&script);
+        let n = s.small(24) as usize;
+        let width = s.small(5) as usize;
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|_| (0..width).map(|_| value_from(&mut s)).collect())
+            .collect();
+        for chunk in rows.chunks(chunk_rows) {
+            let owned = Response::Batch { id, rows: chunk.to_vec() }.encode();
+            prop_assert_eq!(encode_batch(id, chunk), owned);
+        }
+        prop_assert_eq!(
+            encode_batch(id, &[]),
+            Response::Batch { id, rows: Vec::new() }.encode()
+        );
     }
 
     /// Arbitrary byte soup never panics the decoders: every outcome is
